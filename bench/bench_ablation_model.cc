@@ -1,7 +1,7 @@
 /**
  * @file
- * Ablation studies for the design choices DESIGN.md calls out (not a
- * paper figure; supports the fidelity notes of DESIGN.md Section 4):
+ * Ablation studies for the model's design choices (not a paper figure;
+ * supports docs/ARCHITECTURE.md, "Fidelity notes"):
  *
  *  1. Hierarchical scaling policy: Partitioned (physical) vs None
  *     (every level sees full tensors) — effect on HyPar's plan and
@@ -31,7 +31,7 @@ void
 scalingAblation()
 {
     bench::banner("Ablation 1: hierarchical scaling policy",
-                  "DESIGN.md Section 2");
+                  "docs/ARCHITECTURE.md, Model interpretation");
     util::Table t({"network", "HyPar comm (Partitioned)",
                    "HyPar comm (None)", "plans differ?"});
     for (const auto &name : {"SFC", "AlexNet", "VGG-A"}) {

@@ -5,9 +5,9 @@
  * network and geometric mean.
  *
  * The Data Parallelism column matches the paper exactly (the all-dp
- * closed form, see DESIGN.md Section 2): SFC 16.9, Lenet-c 0.0517,
- * VGG-A 15.9, VGG-B 16.0 GB. Paper gmeans: MP 8.88, DP 1.83, HyPar
- * 0.318 GB.
+ * closed form, see docs/ARCHITECTURE.md, "Model interpretation"): SFC
+ * 16.9, Lenet-c 0.0517, VGG-A 15.9, VGG-B 16.0 GB. Paper gmeans: MP
+ * 8.88, DP 1.83, HyPar 0.318 GB.
  */
 
 #include "bench_common.hh"
@@ -55,8 +55,9 @@ main()
 
     std::cout << "\nPaper gmeans: MP 8.88 GB, DP 1.83 GB, HyPar 0.318 GB. "
                  "Our MP column runs higher\n(the paper does not specify "
-                 "MP's cross-level feature scaling; see DESIGN.md "
-                 "Section 4)\nbut preserves the ordering MP >> DP >> "
-                 "HyPar for conv networks and MP < DP for SFC.\n";
+                 "MP's cross-level feature scaling; see "
+                 "docs/ARCHITECTURE.md,\n\"Fidelity notes\") but preserves "
+                 "the ordering MP >> DP >> HyPar for conv networks and\n"
+                 "MP < DP for SFC.\n";
     return 0;
 }

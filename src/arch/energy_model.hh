@@ -11,7 +11,8 @@
  * The paper does not print a per-hop link energy; we model the HMC
  * SerDes at 2 pJ/bit (64 pJ per 32-bit word per hop), a mid-range
  * figure for short-reach serial links of that era (documented
- * substitution, see DESIGN.md Section 4). A remote word additionally
+ * substitution, see docs/ARCHITECTURE.md, "Fidelity notes"). A remote
+ * word additionally
  * pays DRAM on both ends, which the simulator accounts separately.
  */
 

@@ -18,7 +18,8 @@
  * because both peers fetch the remote half (the paper's 56 KB example in
  * Section 3.4 counts 2 x 70x100 x 4 B).
  *
- * Hierarchical scaling ("Partitioned" policy, DESIGN.md Section 2): at
+ * Hierarchical scaling ("Partitioned" policy, docs/ARCHITECTURE.md,
+ * "Model interpretation"): at
  * level h the amounts shrink according to the choices made above --
  * upper mp halves kernels/gradients, upper dp halves batches (feature
  * and error tensors). This reproduces the paper's Fig. 8 Data

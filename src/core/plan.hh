@@ -56,7 +56,8 @@ struct HierarchicalPlan
 /**
  * Running record of the choices made at the hierarchy levels above the
  * one currently being partitioned. The communication model uses the
- * per-layer dp/mp counts to scale tensor amounts (DESIGN.md Section 2).
+ * per-layer dp/mp counts to scale tensor amounts (docs/ARCHITECTURE.md,
+ * "Model interpretation").
  */
 class History
 {

@@ -1,38 +1,17 @@
 #include "core/series_parallel.hh"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 #include <utility>
 #include <vector>
 
+#include "core/level_bits.hh"
 #include "core/tie_break.hh"
 #include "util/logging.hh"
 
 namespace hypar::core {
 
 namespace {
-
-unsigned
-dpAbove(std::uint32_t v, std::size_t h)
-{
-    const auto mask = static_cast<std::uint32_t>((1u << h) - 1u);
-    const auto mp = static_cast<unsigned>(std::popcount(v & mask));
-    return static_cast<unsigned>(h) - mp;
-}
-
-unsigned
-mpAbove(std::uint32_t v, std::size_t h)
-{
-    const auto mask = static_cast<std::uint32_t>((1u << h) - 1u);
-    return static_cast<unsigned>(std::popcount(v & mask));
-}
-
-Parallelism
-choiceAt(std::uint32_t v, std::size_t h)
-{
-    return (v >> h) & 1u ? Parallelism::kModel : Parallelism::kData;
-}
 
 /** Same level-ascending sum as OptimalPartitioner::intraCost. */
 double
@@ -212,7 +191,7 @@ struct SolveContext
     std::size_t levels;
     std::size_t states;
     std::size_t num_layers;
-    bool early_break; // sparse / A* series merge
+    bool early_break; // A* series merge
     const std::vector<double> *intra; // [l * states + s]
     std::uint64_t transitions = 0;
     std::uint64_t pruned = 0;
@@ -364,8 +343,7 @@ searchSeriesParallel(const CommModel &model, std::size_t levels,
     ctx.levels = levels;
     ctx.states = S;
     ctx.num_layers = num_layers;
-    ctx.early_break = engine == SearchEngine::kSparse ||
-                      engine == SearchEngine::kAStar;
+    ctx.early_break = engine == SearchEngine::kAStar;
     ctx.intra = &intra;
 
     const SpTable top = solve(nodes, root, ctx);

@@ -6,8 +6,9 @@
  * Three loop shapes dominate the table engines (ISSUE 8 / ROADMAP
  * item 5): the level-bit expansion that materializes all 2^H
  * transition sums from one factored row pair, the dense engine's
- * predecessor argmin over cost[p] + trans[p], and the beam engine's
- * elementwise relax of one predecessor into a (best, prev) row. All
+ * predecessor argmin over cost[p] + trans[p], and the incumbent beam
+ * pass's elementwise relax of one predecessor into a (best, prev) row
+ * (the beam pass seeds A*). All
  * three are branch-light float reduces over contiguous tables — prime
  * AVX2 targets — while the A* predecessor scan stays scalar on
  * purpose: its candidate walk is data-dependent and gathers from

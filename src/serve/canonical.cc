@@ -81,8 +81,6 @@ searchEngineName(core::SearchEngine engine)
     switch (engine) {
       case core::SearchEngine::kAuto: return "auto";
       case core::SearchEngine::kDense: return "dense";
-      case core::SearchEngine::kSparse: return "sparse";
-      case core::SearchEngine::kBeam: return "beam";
       case core::SearchEngine::kAStar: return "astar";
     }
     util::fatal("unknown search engine");
@@ -171,14 +169,9 @@ canonicalPlanRequest(const dnn::Network &network,
     std::string out = canonicalContext(network, config);
     out += "[plan]\n";
     appendKV(out, "strategy", strategy);
+    // The parsed engine, so the aliases "sparse" and "beam" key as
+    // "astar" and share its entry.
     appendKV(out, "engine", std::string(searchEngineName(search.engine)));
-    appendKV(out, "beam_width", search.beamWidth);
-    appendKV(out, "adaptive_beam",
-             std::string(search.adaptiveBeam ? "1" : "0"));
-    // SearchOptions::beamWidthStart (the request's width_hint) is
-    // deliberately NOT keyed: the warm start only skips the adaptive
-    // beam's ramp, the plan and cost are bit-identical with or without
-    // it — keying it forked duplicate cache entries per hint value.
     return out;
 }
 

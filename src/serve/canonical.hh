@@ -28,11 +28,10 @@
  *    sim::Evaluator depends on. The session registry keys on it.
  *  - planHash(network, config, strategy, search): contextHash's
  *    payload plus the strategy and core::SearchOptions. The on-disk
- *    plan cache keys on it, because the searched plan (and its
- *    SearchStats certificate) depends on the engine knobs too.
- *    SearchOptions::beamWidthStart (the protocol's width_hint) is
- *    excluded: it is a pure warm start — results are bit-identical
- *    with or without it — so it must not fork cache entries.
+ *    plan cache keys on it, because the searched plan's SearchStats
+ *    depend on the engine too. The engine is keyed by its parsed
+ *    value, so the alias names "sparse" and "beam" share the
+ *    "astar" entry.
  *
  * sweepHash(network, config, strategy, search, level) extends the plan
  * payload with the swept hierarchy level; the on-disk sweep-result
@@ -97,7 +96,7 @@ std::string sweepHash(const dnn::Network &network,
 /** Canonical short name of a topology kind ("htree"/"torus"/"mesh"). */
 const char *topologyKindName(sim::TopologyKind kind);
 
-/** Canonical short name of a search engine ("auto"/"dense"/...). */
+/** Canonical short name of a search engine ("auto"/"dense"/"astar"). */
 const char *searchEngineName(core::SearchEngine engine);
 
 /** Canonical short name of a strategy ("dp"/"mp"/"owt"/"hypar"). */

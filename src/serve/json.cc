@@ -75,6 +75,13 @@ JsonValue::makeNumber(double d)
     return v;
 }
 
+/**
+ * Deepest array/object nesting the parser accepts. Requests and cache
+ * entries nest about 4 deep; the bound keeps a hostile line from
+ * recursing the parser (and the JsonValue destructor) off the stack.
+ */
+constexpr std::size_t kMaxJsonDepth = 64;
+
 /** Strict recursive-descent parser over one string_view. */
 class JsonParser
 {
@@ -141,9 +148,15 @@ class JsonParser
         JsonValue v;
         switch (c) {
           case '{':
-            return parseObject();
-          case '[':
-            return parseArray();
+          case '[': {
+            if (depth_ == kMaxJsonDepth)
+                fail("nesting deeper than " +
+                     std::to_string(kMaxJsonDepth) + " levels");
+            ++depth_;
+            v = c == '{' ? parseObject() : parseArray();
+            --depth_;
+            return v;
+          }
           case '"':
             v.kind_ = JsonValue::Kind::kString;
             v.string_ = parseString();
@@ -361,6 +374,7 @@ class JsonParser
 
     std::string_view text_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0; //!< open arrays/objects around pos_
 };
 
 JsonValue

@@ -10,6 +10,8 @@
  * bit-identically), booleans, and null. Parse errors raise
  * util::FatalError with a byte offset, so the server can turn a
  * malformed request line into an error *response* instead of dying.
+ * Arrays and objects nested deeper than a fixed 64 levels are such an
+ * error too, so a hostile line cannot exhaust the stack.
  *
  * Writers in this repo emit JSON by hand (see plan_cache.cc,
  * server.cc) — the parser only has to accept what they and external

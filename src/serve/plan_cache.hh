@@ -54,11 +54,11 @@
 
 namespace hypar::serve {
 
-/** On-disk format version; bump on any layout change. Version 2:
- *  width_hint left the canonical plan-key text (ISSUE 10), so version-1
- *  entries — keyed under the old text — quarantine instead of lingering
- *  as unreachable stale files. */
-inline constexpr int kPlanCacheVersion = 2;
+/** On-disk format version; bump on any layout or plan-key change, so
+ *  entries keyed under an older key text quarantine instead of
+ *  lingering as unreachable stale files. Version 3: the plan key lost
+ *  its beam_width and adaptive_beam lines. */
+inline constexpr int kPlanCacheVersion = 3;
 
 /** Format tag every plan entry must carry. */
 inline constexpr const char *kPlanCacheFormat = "hyparc-plan-cache";

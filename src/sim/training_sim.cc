@@ -1,10 +1,10 @@
 #include "sim/training_sim.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "core/brute_force.hh"
+#include "core/level_bits.hh"
 #include "sim/event_queue.hh"
 #include "util/logging.hh"
 
@@ -69,10 +69,7 @@ TrainingSimulator::dpAbove(std::uint32_t state, std::size_t h) const
 {
     if (!prefixDp_.empty())
         return prefixDp_[std::size_t{state} * (topo_->levels() + 1) + h];
-    const auto mask =
-        static_cast<std::uint32_t>((std::uint64_t{1} << h) - 1u);
-    return static_cast<unsigned>(h) -
-           static_cast<unsigned>(std::popcount(state & mask));
+    return core::dpAbove(state, h);
 }
 
 void

@@ -56,6 +56,28 @@ randomNetwork(std::mt19937 &rng)
     return b.build();
 }
 
+/** Random chain of exactly `layers` weighted layers (an optional conv
+ *  head, then fc layers): short enough for the naive O(L * 4^H * H)
+ *  oracle past the dense ceiling. */
+dnn::Network
+randomShortChain(std::mt19937 &rng, int layers)
+{
+    std::uniform_int_distribution<std::size_t> channels(1, 64);
+    std::uniform_int_distribution<std::size_t> widths(1, 512);
+    std::bernoulli_distribution coin(0.5);
+
+    const bool conv_head = coin(rng);
+    dnn::NetworkBuilder b("short", conv_head
+                                       ? dnn::SampleShape{3, 16, 16}
+                                       : dnn::SampleShape{widths(rng), 1, 1});
+    int l = 0;
+    if (conv_head)
+        b.conv("conv" + std::to_string(l++), channels(rng), 3);
+    for (; l < layers; ++l)
+        b.fc("fc" + std::to_string(l), widths(rng));
+    return b.build();
+}
+
 CommConfig
 randomConfig(std::mt19937 &rng)
 {
@@ -190,13 +212,11 @@ TEST(EquivalenceRandom, OptimalPartitionerMatchesReference)
     }
 }
 
-TEST(EquivalenceRandom, SparseBeamAndAStarEnginesMatchDenseDp)
+TEST(EquivalenceRandom, AStarEngineMatchesDenseDp)
 {
-    // The sparse engine prunes with a monotone floating-point lower
-    // bound, the beam engine is exhaustive whenever its width covers
-    // 2^H, and the A* engine prunes against its admissible suffix
-    // bound — all three must reproduce the dense DP bit for bit across
-    // random networks, depths up to the old ceiling, and model configs.
+    // The A* engine prunes against its admissible suffix bound and
+    // must still reproduce the dense DP bit for bit across random
+    // networks, depths up to the dense ceiling, and model configs.
     std::mt19937 rng(606);
     std::uniform_int_distribution<std::size_t> levels(3, 8);
     for (int trial = 0; trial < 60; ++trial) {
@@ -206,22 +226,6 @@ TEST(EquivalenceRandom, SparseBeamAndAStarEnginesMatchDenseDp)
 
         const std::size_t h = levels(rng);
         const auto dense = partitioner.partition(h);
-
-        core::SearchOptions sparse;
-        sparse.engine = core::SearchEngine::kSparse;
-        const auto sp = partitioner.partition(h, sparse);
-        EXPECT_EQ(sp.commBytes, dense.commBytes)
-            << "trial " << trial << " H=" << h;
-        EXPECT_EQ(sp.plan, dense.plan) << "trial " << trial << " H=" << h;
-
-        // Default width (>= 1024) covers every state at H <= 8, so the
-        // beam is exhaustive and exact here.
-        core::SearchOptions beam;
-        beam.engine = core::SearchEngine::kBeam;
-        const auto bm = partitioner.partition(h, beam);
-        EXPECT_EQ(bm.commBytes, dense.commBytes)
-            << "trial " << trial << " H=" << h;
-        EXPECT_EQ(bm.plan, dense.plan) << "trial " << trial << " H=" << h;
 
         core::SearchOptions astar;
         astar.engine = core::SearchEngine::kAStar;
@@ -234,91 +238,24 @@ TEST(EquivalenceRandom, SparseBeamAndAStarEnginesMatchDenseDp)
     }
 }
 
-TEST(EquivalenceRandom, AStarMatchesSparsePastTheDenseCeiling)
+TEST(EquivalenceRandom, AStarMatchesReferencePastTheDenseCeiling)
 {
-    // Above H = 10 the dense oracle is gone; the sparse engine (exact
-    // by dominance pruning alone) stands in. A* must agree bit for bit
-    // at depths the dense DP cannot reach, across random networks and
-    // model configs.
+    // Above H = 10 the dense engine is gone; the naive joint DP, which
+    // shares no table, bound or scan with A*, stands in. It costs
+    // O(L * 4^H * H), so the chains stay short.
     std::mt19937 rng(909);
-    std::uniform_int_distribution<std::size_t> levels(11, 13);
-    for (int trial = 0; trial < 6; ++trial) {
-        const dnn::Network net = randomNetwork(rng);
+    for (const int layers : {2, 3, 4}) {
+        const dnn::Network net = randomShortChain(rng, layers);
         const CommModel model(net, randomConfig(rng));
         const core::OptimalPartitioner partitioner(model);
 
-        const std::size_t h = levels(rng);
-        core::SearchOptions sparse;
-        sparse.engine = core::SearchEngine::kSparse;
-        const auto sp = partitioner.partition(h, sparse);
-
         core::SearchOptions astar;
         astar.engine = core::SearchEngine::kAStar;
-        const auto as = partitioner.partition(h, astar);
-        EXPECT_EQ(as.commBytes, sp.commBytes)
-            << "trial " << trial << " L=" << net.size() << " H=" << h;
-        EXPECT_EQ(as.plan, sp.plan)
-            << "trial " << trial << " L=" << net.size() << " H=" << h;
+        const auto as = partitioner.partition(11, astar);
+        const auto ref = partitioner.partitionReference(11);
+        EXPECT_EQ(as.commBytes, ref.commBytes) << "L=" << layers;
+        EXPECT_EQ(as.plan, ref.plan) << "L=" << layers;
         EXPECT_TRUE(as.stats.certifiedExact);
-    }
-
-    // One zoo instance at the H = 14 reach of both engines.
-    const dnn::Network net = dnn::makeLenetC();
-    const CommModel model(net, CommConfig{});
-    const core::OptimalPartitioner partitioner(model);
-    core::SearchOptions sparse;
-    sparse.engine = core::SearchEngine::kSparse;
-    const auto sp = partitioner.partition(14, sparse);
-    core::SearchOptions astar;
-    astar.engine = core::SearchEngine::kAStar;
-    const auto as = partitioner.partition(14, astar);
-    EXPECT_EQ(as.commBytes, sp.commBytes);
-    EXPECT_EQ(as.plan, sp.plan);
-}
-
-TEST(EquivalenceRandom, CertifiedBeamResultsMatchAStar)
-{
-    // The property the adaptive beam's certificate promises: whenever
-    // a beam pass reports certifiedExact — at whatever width it
-    // self-selected, starting from a deliberately tiny frontier — its
-    // cost *and plan* equal the A* engine's exact optimum.
-    std::mt19937 rng(1010);
-    std::uniform_int_distribution<std::size_t> levels(4, 9);
-    for (int trial = 0; trial < 25; ++trial) {
-        const dnn::Network net = randomNetwork(rng);
-        const CommModel model(net, randomConfig(rng));
-        const core::OptimalPartitioner partitioner(model);
-        const std::size_t h = levels(rng);
-
-        core::SearchOptions astar;
-        astar.engine = core::SearchEngine::kAStar;
-        const auto exact = partitioner.partition(h, astar);
-
-        core::SearchOptions adaptive;
-        adaptive.engine = core::SearchEngine::kBeam;
-        adaptive.beamWidthStart = 4;
-        const auto bm = partitioner.partition(h, adaptive);
-        ASSERT_TRUE(bm.stats.certifiedExact)
-            << "trial " << trial << " H=" << h;
-        EXPECT_EQ(bm.commBytes, exact.commBytes)
-            << "trial " << trial << " H=" << h;
-        EXPECT_EQ(bm.plan, exact.plan) << "trial " << trial << " H=" << h;
-
-        // A starved fixed-width pass may or may not certify, but its
-        // claim must stay honest either way.
-        core::SearchOptions starved;
-        starved.engine = core::SearchEngine::kBeam;
-        starved.beamWidth = 3;
-        const auto fx = partitioner.partition(h, starved);
-        if (fx.stats.certifiedExact) {
-            EXPECT_EQ(fx.commBytes, exact.commBytes)
-                << "trial " << trial << " H=" << h;
-            EXPECT_EQ(fx.plan, exact.plan)
-                << "trial " << trial << " H=" << h;
-        } else {
-            EXPECT_GE(fx.commBytes, exact.commBytes)
-                << "trial " << trial << " H=" << h;
-        }
     }
 }
 
@@ -349,7 +286,7 @@ TEST(EquivalenceRandom, GrayCodeHierarchicalMatchesReference)
 
 TEST(EquivalenceRandom, JointDpMatchesGrayCodeHierarchicalOracle)
 {
-    // The widened oracle at work: every engine of the joint DP agrees
+    // The widened oracle at work: both engines of the joint DP agree
     // with exhaustive enumeration at H = 2-3 on networks big enough to
     // exercise real pruning (the old naive recursion choked above
     // L*H = 24; the Gray-code tape reaches these sizes in well under a
@@ -366,8 +303,7 @@ TEST(EquivalenceRandom, JointDpMatchesGrayCodeHierarchicalOracle)
         const auto brute = core::bruteForceHierarchical(model, h);
 
         for (auto engine :
-             {core::SearchEngine::kDense, core::SearchEngine::kSparse,
-              core::SearchEngine::kBeam, core::SearchEngine::kAStar}) {
+             {core::SearchEngine::kDense, core::SearchEngine::kAStar}) {
             core::SearchOptions opts;
             opts.engine = engine;
             const auto exact = partitioner.partition(h, opts);

@@ -56,16 +56,34 @@ TEST(HyparcArgs, ParsesSearchEngineFlags)
                                  "beam", "--beam-width", "64"});
     EXPECT_EQ(opts.strategy, "optimal");
     EXPECT_EQ(opts.engine, "beam");
-    EXPECT_EQ(opts.beamWidth, 64u);
-    // Defaults: auto engine, engine-chosen width.
+    // Default: the auto engine.
     const auto defaults = parseArgs({"plan", "--model", "Lenet-c"});
     EXPECT_EQ(defaults.engine, "auto");
-    EXPECT_EQ(defaults.beamWidth, 0u);
+}
+
+TEST(HyparcArgs, DeprecatedBeamWidthIsCheckedThenIgnored)
+{
+    // --beam-width outlived the beam engine by one release: a
+    // non-negative integer parses and changes nothing, anything else
+    // is rejected.
+    const std::vector<std::string> base = {"plan", "--model", "Lenet-c",
+                                           "--levels", "6", "--strategy",
+                                           "optimal", "--verbose"};
+    std::vector<std::string> widened = base;
+    widened.insert(widened.end(), {"--beam-width", "2048"});
+    EXPECT_EQ(run(widened), run(base));
+
+    for (const char *bad : {"-1", "x", "", "12k"}) {
+        std::vector<std::string> args = base;
+        args.insert(args.end(), {"--beam-width", bad});
+        EXPECT_THROW(parseArgs(args), util::FatalError) << bad;
+    }
 }
 
 TEST(HyparcCommands, OptimalStrategyHonorsEngines)
 {
-    // All engines agree on the optimal plan's total communication line.
+    // Both engines agree on the optimal plan's total communication
+    // line, and the retired names run A*.
     const std::string dense = run({"plan", "--model", "Lenet-c",
                                    "--strategy", "optimal", "--engine",
                                    "dense"});
@@ -83,7 +101,7 @@ TEST(HyparcCommands, OptimalStrategyHonorsEngines)
     EXPECT_EQ(dense, astar);
     EXPECT_NE(dense.find("total communication"), std::string::npos);
 
-    // Past the dense ceiling only through sparse/beam (or auto).
+    // Past the dense ceiling only through astar (or auto).
     std::ostringstream os;
     EXPECT_THROW(runCommand(parseArgs({"plan", "--model", "Lenet-c",
                                        "--levels", "12", "--strategy",
@@ -100,6 +118,21 @@ TEST(HyparcCommands, OptimalStrategyHonorsEngines)
                                        "--engine", "bogus"}),
                             os),
                  util::FatalError);
+
+    // The verbose diagnostics of an alias are A*'s, down to the
+    // engine name.
+    const std::vector<std::string> verbose = {
+        "plan", "--model", "Lenet-c", "--levels", "12", "--strategy",
+        "optimal", "--verbose", "--engine"};
+    auto with = [&](const char *engine) {
+        std::vector<std::string> args = verbose;
+        args.push_back(engine);
+        return run(args);
+    };
+    const std::string astar_verbose = with("astar");
+    EXPECT_NE(astar_verbose.find("(engine astar)"), std::string::npos);
+    EXPECT_EQ(with("sparse"), astar_verbose);
+    EXPECT_EQ(with("beam"), astar_verbose);
 }
 
 TEST(HyparcArgs, Rejections)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Golden tests against the absolute numbers printed in the paper.
- * These pin the model interpretation documented in DESIGN.md Section 2:
+ * These pin the model interpretation documented in docs/ARCHITECTURE.md,
+ * "Model interpretation":
  *
  *  - Fig. 8 Data Parallelism column: total communication of the all-dp
  *    plan on 16 accelerators equals (2^4 - 1) * 2 * 4B * params, which

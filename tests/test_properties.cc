@@ -1,8 +1,9 @@
 /**
  * @file
  * Parameterized property suites (TEST_P) sweeping the model zoo,
- * hierarchy depths, batch sizes and scaling policies: the invariants of
- * DESIGN.md Section 7 checked across the whole configuration space.
+ * hierarchy depths, batch sizes and scaling policies: the invariants
+ * listed in docs/ARCHITECTURE.md, "Property suites", checked across the
+ * whole configuration space.
  */
 
 #include <gtest/gtest.h>

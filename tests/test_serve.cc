@@ -196,6 +196,24 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_THROW(serve::JsonValue::parse("[1,2"), util::FatalError);
 }
 
+TEST(Json, NestingIsBoundedAtSixtyFourLevels)
+{
+    // 64 levels parse; the 65th is an error, not a deeper recursion.
+    const auto nested = [](std::size_t depth) {
+        std::string text;
+        for (std::size_t i = 0; i < depth; ++i)
+            text += i % 2 ? "{\"k\":" : "[";
+        text += "0";
+        for (std::size_t i = depth; i-- > 0;)
+            text += i % 2 ? "}" : "]";
+        return text;
+    };
+    EXPECT_NO_THROW(serve::JsonValue::parse(nested(64)));
+    EXPECT_THROW(serve::JsonValue::parse(nested(65)), util::FatalError);
+    EXPECT_THROW(serve::JsonValue::parse(std::string(200000, '[')),
+                 util::FatalError);
+}
+
 TEST(Json, TypedAccessorsFatalOnKindMismatch)
 {
     const serve::JsonValue v = serve::JsonValue::parse("[1]");
@@ -278,20 +296,10 @@ TEST(Canonical, PlanHashKeysStrategyAndSearchKnobs)
 
     EXPECT_NE(serve::planHash(net, cfg, "hypar", search), base);
 
-    core::SearchOptions beam = search;
-    beam.engine = core::SearchEngine::kBeam;
-    EXPECT_NE(serve::planHash(net, cfg, "optimal", beam), base);
-
-    core::SearchOptions width = search;
-    width.beamWidth = 32;
-    EXPECT_NE(serve::planHash(net, cfg, "optimal", width), base);
-
-    // width_hint is a pure warm start — results are bit-identical
-    // with or without it — so it must NOT fork the key: hinted
-    // requests share the unhinted request's on-disk entry.
-    core::SearchOptions hinted = search;
-    hinted.beamWidthStart = 8;
-    EXPECT_EQ(serve::planHash(net, cfg, "optimal", hinted), base);
+    // The engine is keyed: its SearchStats differ.
+    core::SearchOptions astar = search;
+    astar.engine = core::SearchEngine::kAStar;
+    EXPECT_NE(serve::planHash(net, cfg, "optimal", astar), base);
 
     // The sweep key embeds the plan payload plus the swept level.
     EXPECT_NE(serve::sweepHash(net, cfg, "hypar", search, 1), base);
@@ -489,6 +497,7 @@ struct PlanResponse
 {
     std::string cacheOutcome;
     std::vector<std::string> planBits;
+    std::string planHash;
     double commBytes = 0.0;
     std::uint64_t transitions = 0;
     std::uint64_t widthUsed = 0;
@@ -500,6 +509,7 @@ struct PlanResponse
         EXPECT_TRUE(v.find("ok")->asBool()) << line;
         PlanResponse r;
         r.cacheOutcome = v.find("cache")->asString();
+        r.planHash = v.find("plan_hash")->asString();
         for (const serve::JsonValue &level : v.find("plan")->asArray())
             r.planBits.push_back(level.asString());
         r.commBytes = v.find("comm_bytes")->asNumber();
@@ -576,40 +586,6 @@ TEST(Server, MaxSessionsSizesTheWarmRegistry)
     runBatch(server, {req("VGG-A")});
     EXPECT_EQ(server.sessions().size(), 2u); // LRU evicted, not grown
     EXPECT_EQ(server.sessions().built(), 3u);
-}
-
-TEST(Server, WidthHintWarmStartsTheAdaptiveBeamBitIdentically)
-{
-    // Cold adaptive beam: width-doubling ramp until the drop
-    // certificate holds. Threading the measured plateau back as
-    // width_hint must skip the ramp (strictly fewer transitions, same
-    // final width) and return the bit-identical plan and cost.
-    serve::ServeOptions opts;
-    opts.noCache = true; // force a real search on every request
-    serve::Server server(opts);
-
-    const std::string cold_req =
-        R"({"op":"plan","model":"VGG-E","strategy":"optimal",)"
-        R"("engine":"beam","levels":8})";
-    const PlanResponse cold =
-        PlanResponse::parse(runBatch(server, {cold_req}).at(0));
-    EXPECT_TRUE(cold.certified);
-    EXPECT_GT(cold.widthUsed, 0u);
-
-    const std::string warm_req =
-        R"({"op":"plan","model":"VGG-E","strategy":"optimal",)"
-        R"("engine":"beam","levels":8,"width_hint":)" +
-        std::to_string(cold.widthUsed) + "}";
-    const PlanResponse warm =
-        PlanResponse::parse(runBatch(server, {warm_req}).at(0));
-    EXPECT_TRUE(warm.certified);
-    EXPECT_EQ(warm.planBits, cold.planBits);
-    EXPECT_EQ(warm.commBytes, cold.commBytes); // exact doubles
-    EXPECT_EQ(warm.widthUsed, cold.widthUsed);
-    // The hinted search starts at the plateau instead of ramping
-    // through every narrower pass, so it evaluates strictly fewer
-    // transitions whenever the cold ramp took more than one pass.
-    EXPECT_LE(warm.transitions, cold.transitions);
 }
 
 TEST(Server, CachedPlanEvaluatesIdenticallyAtEveryThreadCount)
@@ -941,36 +917,104 @@ TEST(Server, ErrorResponsesEchoTheOpWhenItParsed)
     EXPECT_EQ(serve::JsonValue::parse(responses[3]).find("op"), nullptr);
 }
 
-TEST(Server, WidthHintDoesNotForkTheOnDiskCacheEntry)
+TEST(Server, EngineAliasesShareOnePlanHashAndCacheEntry)
 {
-    // Satellite of the cache-key fix: a hinted and an unhinted plan
-    // request are the same search (bit-identical results), so they
-    // must share one on-disk entry — the hinted request *hits*.
-    TempDir tmp("serve_hint_key");
+    // "sparse" and "beam" parse as A*, and the plan key holds the
+    // parsed engine, so all three names are one search: one key, one
+    // stored entry, and the aliases hit it.
+    TempDir tmp("serve_alias_key");
     serve::ServeOptions opts;
     opts.cacheDir = tmp.path;
     serve::Server server(opts);
 
-    const std::string cold =
+    const std::string request =
         R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)"
-        R"("engine":"beam"})";
-    const std::string hinted =
-        R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)"
-        R"("engine":"beam","width_hint":8})";
-    const PlanResponse first =
-        PlanResponse::parse(runBatch(server, {cold}).at(0));
-    EXPECT_EQ(first.cacheOutcome, "miss");
-    const PlanResponse second =
-        PlanResponse::parse(runBatch(server, {hinted}).at(0));
-    EXPECT_EQ(second.cacheOutcome, "hit");
-    EXPECT_EQ(second.planBits, first.planBits);
-    EXPECT_EQ(second.commBytes, first.commBytes);
+        R"("levels":11,"engine":"ENGINE"})";
+    std::optional<PlanResponse> first;
+    for (const std::string engine : {"astar", "sparse", "beam"}) {
+        std::string line = request;
+        line.replace(line.find("ENGINE"), 6, engine);
+        const PlanResponse r =
+            PlanResponse::parse(runBatch(server, {line}).at(0));
+        if (!first) {
+            EXPECT_EQ(r.cacheOutcome, "miss");
+            first = r;
+            continue;
+        }
+        EXPECT_EQ(r.cacheOutcome, "hit") << engine;
+        EXPECT_EQ(r.planHash, first->planHash) << engine;
+        EXPECT_EQ(r.planBits, first->planBits) << engine;
+        EXPECT_EQ(r.commBytes, first->commBytes) << engine;
+        EXPECT_EQ(r.transitions, first->transitions) << engine;
+    }
     EXPECT_EQ(server.cache().stats().stores, 1u);
 
     std::size_t entries = 0;
     for (const auto &e : fs::directory_iterator(tmp.path))
         entries += e.path().extension() == ".json" ? 1u : 0u;
     EXPECT_EQ(entries, 1u);
+}
+
+TEST(Server, DeprecatedBeamFieldsAreValidatedThenIgnored)
+{
+    // beam_width and width_hint tuned the retired beam engine. For one
+    // release they are still checked as non-negative integers, and a
+    // request carrying them gets exactly the response of one without.
+    serve::ServeOptions opts;
+    opts.noCache = true;
+    serve::Server server(opts);
+
+    const std::string plain =
+        R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)"
+        R"("engine":"beam","levels":8})";
+    const std::string tuned =
+        R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)"
+        R"("engine":"beam","levels":8,"beam_width":2048,"width_hint":8})";
+    const std::vector<std::string> responses =
+        runBatch(server, {plain, tuned});
+    ASSERT_EQ(responses.size(), 2u);
+    EXPECT_TRUE(serve::JsonValue::parse(responses[0]).find("ok")->asBool());
+    EXPECT_EQ(responses[1], responses[0]);
+
+    for (const std::string bad :
+         {R"("beam_width":-1)", R"("beam_width":1.5)",
+          R"("width_hint":"8")"}) {
+        const std::string line =
+            R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)" +
+            bad + "}";
+        const serve::JsonValue v =
+            serve::JsonValue::parse(runBatch(server, {line}).at(0));
+        EXPECT_FALSE(v.find("ok")->asBool()) << bad;
+        EXPECT_NE(v.find("error"), nullptr) << bad;
+    }
+}
+
+TEST(Server, DeeplyNestedLineAnswersInBandAndServingContinues)
+{
+    // A line of 200k '[' once overflowed the recursive JSON parser's
+    // stack and killed the process. Past the nesting limit the line is
+    // an ordinary in-band error, and the lines after it are served.
+    serve::ServeOptions opts;
+    opts.noCache = true;
+    serve::Server server(opts);
+
+    std::istringstream in(std::string(200000, '[') + "\n" +
+                          R"({"op":"plan","model":"Lenet-c"})" "\n");
+    std::ostringstream out;
+    EXPECT_EQ(server.run(in, out), 0);
+
+    std::vector<std::string> responses;
+    std::istringstream lines(out.str());
+    std::string line;
+    while (std::getline(lines, line))
+        responses.push_back(line);
+    ASSERT_EQ(responses.size(), 2u);
+    const serve::JsonValue error = serve::JsonValue::parse(responses[0]);
+    EXPECT_FALSE(error.find("ok")->asBool());
+    EXPECT_NE(error.find("error")->asString().find("nesting"),
+              std::string::npos)
+        << responses[0];
+    EXPECT_TRUE(serve::JsonValue::parse(responses[1]).find("ok")->asBool());
 }
 
 TEST(Server, RejectedRequestsNeverTouchTheSessionRegistry)
@@ -1170,16 +1214,17 @@ TEST(Canonical, ChainHashesArePinnedAcrossTheDagGeneralization)
     // keys must never move — a warm session registry filled by a
     // pre-DAG build keeps hitting. If the first expectation fails,
     // kCanonicalVersion was effectively broken for every deployment.
-    // The plan hash was re-pinned when width_hint left the key text
-    // (kPlanCacheVersion 2); it moves only with the cache version.
+    // The plan hash was last re-pinned when the beam_width and
+    // adaptive_beam lines left the key text (kPlanCacheVersion 3); it
+    // moves only with the cache version.
     const dnn::Network net = dnn::makeLenetC();
     const sim::SimConfig cfg;
     EXPECT_EQ(serve::contextHash(net, cfg),
               "6aacb02bd566f49eea451ce9e7ab0723"
               "e7183076aa4f0a0fd0e21f9a1db2fad9");
     EXPECT_EQ(serve::planHash(net, cfg, "optimal", core::SearchOptions{}),
-              "c89e508e8dee83c5059877a1e5dfb4d4"
-              "d41b9f8fa62c4061aef9ab7248071ab9");
+              "05a987c188b85e1911d8410a66b35ebe"
+              "4f28b2ddd04d92151184ecfa9e1d4cc8");
 }
 
 TEST(Canonical, DagEdgeOrderDoesNotForkTheKey)

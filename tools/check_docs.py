@@ -21,6 +21,9 @@ Checked reference kinds:
   * ``--model <name>`` examples must name a real zoo model
     (src/dnn/model_zoo.cc).
   * Relative ``*.md``/``*.py``/source links must exist on disk.
+  * Every ``*.md`` path cited anywhere under src/, tests/ or bench/
+    (comments, docstrings, printed messages) must exist, relative to
+    the repo root or to the citing file.
   * The serving contract: docs/SERVING.md's request-schema table
     (rows of the form ``| `field` | ...``) must match the
     kRequestFields whitelist in src/serve/server.hh exactly, in both
@@ -40,6 +43,8 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOCS = ["README.md", "docs/ARCHITECTURE.md", "docs/SERVING.md",
         "tools/README.md"]
+# Source trees whose markdown citations must resolve.
+CITING_DIRS = ["src", "tests", "bench"]
 
 # Flags consumed by binaries other than hyparc (the google-benchmark
 # harness) that the docs legitimately mention.
@@ -99,6 +104,22 @@ def check_serving_schema(errors):
             errors.append(
                 f"docs/SERVING.md: schema table documents '{field}' "
                 "but src/serve/server.hh does not accept it")
+
+
+def check_cited_markdown(errors):
+    """Every *.md path a source file cites must exist."""
+    for top in CITING_DIRS:
+        for path in sorted((ROOT / top).rglob("*")):
+            if not path.is_file():
+                continue
+            text = path.read_text(encoding="utf-8", errors="replace")
+            cited = re.findall(r"(?<![\w/.-])((?:[\w-]+/)*[\w.-]+\.md)\b",
+                               text)
+            for token in sorted(set(cited)):
+                if (ROOT / token).exists() or (path.parent / token).exists():
+                    continue
+                errors.append(f"{path.relative_to(ROOT)}: cites '{token}', "
+                              "which does not exist")
 
 
 def fail(errors):
@@ -215,6 +236,7 @@ def main():
             errors.append(f"{doc}: file '{token}' does not exist")
 
     check_serving_schema(errors)
+    check_cited_markdown(errors)
 
     if errors:
         return fail(errors)

@@ -17,6 +17,7 @@
 #include "core/strategies.hh"
 #include "dnn/model_zoo.hh"
 #include "dnn/spec_parser.hh"
+#include "serve/canonical.hh"
 #include "serve/server.hh"
 #include "sim/evaluator.hh"
 #include "sim/robust.hh"
@@ -75,7 +76,6 @@ makeStrategyPlan(const Options &opts, const core::CommModel &model,
     if (opts.strategy == "optimal") {
         core::SearchOptions search;
         search.engine = core::searchEngineFromName(opts.engine);
-        search.beamWidth = opts.beamWidth;
         auto result =
             core::OptimalPartitioner(model).partition(opts.levels, search);
         if (search_out != nullptr)
@@ -124,7 +124,10 @@ cmdPlan(const Options &opts, std::ostream &os)
     // relaxations and carry SearchStats (see HierarchicalResult).
     if (opts.verbose && opts.strategy == "optimal") {
         os << "transitions evaluated: " << search.transitionsEvaluated
-           << " (engine " << opts.engine << ")\n"
+           << " (engine "
+           << serve::searchEngineName(
+                  core::searchEngineFromName(opts.engine))
+           << ")\n"
            << "nodes expanded: " << search.stats.expanded
            << ", pruned: " << search.stats.pruned << ", frontier width: "
            << search.stats.widthUsed << "\n"
@@ -685,7 +688,6 @@ cmdFaults(const Options &opts, std::ostream &os)
     ropts.samples = opts.samples;
     ropts.seed = opts.seed;
     ropts.search.engine = core::searchEngineFromName(opts.engine);
-    ropts.search.beamWidth = opts.beamWidth;
     const sim::RobustResult result = sim::robustPlan(net, cfg, ropts);
 
     os << net.name() << ": robust plan over " << opts.samples
@@ -729,15 +731,15 @@ usage()
            "  --model <zoo name> | --spec <file>\n"
            "  [--levels N] [--batch B] [--topology htree|torus|mesh]\n"
            "  [--strategy hypar|dp|mp|owt|optimal] [-o|--output <file>]\n"
-           "  [--engine auto|dense|sparse|beam|astar] [--beam-width N]\n"
-           "    (strategy=optimal: joint-DP engine; dense is exact to\n"
-           "     H=10, sparse/beam/astar reach H=16; beam-width 0 =\n"
-           "     adaptive, growing until the result certifies exact)\n"
+           "  [--engine auto|dense|astar]\n"
+           "    (strategy=optimal: joint-DP engine, all exact; dense\n"
+           "     reaches H=10, astar H=16, auto picks dense up to\n"
+           "     H=10 and astar beyond; sparse and beam are aliases\n"
+           "     of astar; --beam-width N is deprecated: checked,\n"
+           "     then ignored)\n"
            "  [--verbose]  (plan: search diagnostics for --strategy\n"
            "     optimal: transitions evaluated, expanded/pruned\n"
-           "     counts (nodes; dominance-skipped transitions for the\n"
-           "     sparse engine), frontier width, optimality\n"
-           "     certificate)\n"
+           "     nodes, frontier width, optimality certificate)\n"
            "  [--overlap]  (simulate/sweep/trace: overlap gradient\n"
            "     reductions with remaining compute — the async\n"
            "     all-reduce schedule; swept incrementally via the\n"
@@ -813,7 +815,11 @@ parseArgs(const std::vector<std::string> &args)
         } else if (arg == "--engine") {
             opts.engine = value(i);
         } else if (arg == "--beam-width") {
-            opts.beamWidth = std::stoul(value(i));
+            // Deprecated with the beam engine: checked, then ignored.
+            const std::string &width = value(i);
+            if (width.empty() ||
+                width.find_first_not_of("0123456789") != std::string::npos)
+                util::fatal("--beam-width must be a non-negative integer");
         } else if (arg == "--axes") {
             opts.axes = value(i);
         } else if (arg == "--format") {

@@ -12,7 +12,8 @@ in the specific ways the gate promises to catch and asserts it FAILS:
   * a request field removed from the kRequestFields whitelist in
     src/serve/server.hh while docs/SERVING.md still documents it, and
     the reverse (a schema row deleted from SERVING.md while the
-    server still parses the field).
+    server still parses the field);
+  * a source file citing a markdown document that does not exist.
 
 Registered with ctest as ``test_check_docs``; runnable directly.
 """
@@ -136,6 +137,19 @@ class CheckDocsGate(unittest.TestCase):
         res = run_check(self.root)
         self.assertNotEqual(res.returncode, 0)
         self.assertIn("bench_nonexistent_figure", res.stderr)
+
+    def test_dangling_markdown_citation_in_source_fails(self):
+        # A header comment pointing at a document nobody wrote.
+        header = self.root / "src" / "core" / "plan.hh"
+        header.write_text(
+            header.read_text(encoding="utf-8") +
+            "\n// See DESIGN.md Section 2 and docs/ARCHITECTURE.md.\n",
+            encoding="utf-8")
+        res = run_check(self.root)
+        self.assertNotEqual(res.returncode, 0)
+        self.assertIn("src/core/plan.hh: cites 'DESIGN.md'", res.stderr)
+        # The existing document next to it is not flagged.
+        self.assertNotIn("'docs/ARCHITECTURE.md'", res.stderr)
 
 
 if __name__ == "__main__":
