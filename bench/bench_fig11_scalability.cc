@@ -82,7 +82,9 @@ main()
                       std::to_string(std::size_t{1} << levels),
                       util::formatBytes(g.commBytes),
                       util::formatBytes(opt.commBytes),
-                      levels <= core::OptimalPartitioner::kDenseMaxLevels
+                      core::resolveSearchEngine(
+                          core::SearchEngine::kAuto, levels) ==
+                              core::SearchEngine::kDense
                           ? "dense"
                           : "astar",
                       opt.stats.certifiedExact ? "certified" : "no",

@@ -4,8 +4,7 @@
  * validating the paper's practicality claim: "the time complexity for
  * the partition search in HyPar is linear" (Section 4). BM_Pairwise
  * reports O(N) complexity over synthetic networks of 8..4096 weighted
- * layers; BM_Hierarchical shows the O(H*L) scaling of Algorithm 2; the
- * brute-force baseline shows the O(2^N) wall the paper avoids.
+ * layers; BM_Hierarchical shows the O(H*L) scaling of Algorithm 2.
  *
  * Every optimized engine is benchmarked next to its *_Reference
  * counterpart — the pre-optimization implementation kept in-tree as a
@@ -21,7 +20,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/brute_force.hh"
 #include "core/comm_model.hh"
 #include "core/hierarchical_partitioner.hh"
 #include "core/optimal_partitioner.hh"
@@ -103,34 +101,6 @@ BM_HierarchicalPartition(benchmark::State &state)
     core::HierarchicalPartitioner partitioner(model);
     for (auto _ : state) {
         auto result = partitioner.partition(levels);
-        benchmark::DoNotOptimize(result.commBytes);
-    }
-    state.SetComplexityN(state.range(0));
-}
-
-void
-BM_BruteForcePairwise(benchmark::State &state)
-{
-    const auto layers = static_cast<std::size_t>(state.range(0));
-    dnn::Network net = deepNet(layers);
-    core::CommModel model(net, core::CommConfig{});
-    core::History hist(net.size());
-    for (auto _ : state) {
-        auto result = core::bruteForcePairwise(model, hist);
-        benchmark::DoNotOptimize(result.commBytes);
-    }
-    state.SetComplexityN(state.range(0));
-}
-
-void
-BM_BruteForcePairwiseReference(benchmark::State &state)
-{
-    const auto layers = static_cast<std::size_t>(state.range(0));
-    dnn::Network net = deepNet(layers);
-    core::CommModel model(net, core::CommConfig{});
-    core::History hist(net.size());
-    for (auto _ : state) {
-        auto result = core::bruteForcePairwiseReference(model, hist);
         benchmark::DoNotOptimize(result.commBytes);
     }
     state.SetComplexityN(state.range(0));
@@ -383,64 +353,6 @@ BM_SimdRelaxRowReference(benchmark::State &state)
 }
 
 void
-BM_BruteForceHierarchical(benchmark::State &state)
-{
-    // The Gray-code joint enumerator: (2^L)^H plans, one flip apart.
-    dnn::Network net = deepNet(6);
-    core::CommModel model(net, core::CommConfig{});
-    for (auto _ : state) {
-        auto result = core::bruteForceHierarchical(model, 3);
-        benchmark::DoNotOptimize(result.commBytes);
-    }
-}
-
-void
-BM_BruteForceHierarchicalReference(benchmark::State &state)
-{
-    dnn::Network net = deepNet(6);
-    core::CommModel model(net, core::CommConfig{});
-    for (auto _ : state) {
-        auto result = core::bruteForceHierarchicalReference(model, 3);
-        benchmark::DoNotOptimize(result.commBytes);
-    }
-}
-
-void
-BM_SweepLevelBytes(benchmark::State &state)
-{
-    // The Fig. 9/10 building block: score all 2^L substitutions of one
-    // hierarchy level by total plan communication.
-    dnn::Network net = dnn::makeVggA();
-    core::CommModel model(net, core::CommConfig{});
-    const auto base = core::makeHyparPlan(model, 4);
-    for (auto _ : state) {
-        double sum = 0.0;
-        core::sweepLevelBytes(model, base, 0,
-                              [&](std::uint64_t, double bytes) {
-                                  sum += bytes;
-                              });
-        benchmark::DoNotOptimize(sum);
-    }
-}
-
-void
-BM_SweepLevelBytesReference(benchmark::State &state)
-{
-    dnn::Network net = dnn::makeVggA();
-    core::CommModel model(net, core::CommConfig{});
-    const auto base = core::makeHyparPlan(model, 4);
-    for (auto _ : state) {
-        double sum = 0.0;
-        core::sweepLevelMasks(
-            base, 0,
-            [&](std::uint64_t, const core::HierarchicalPlan &plan) {
-                sum += model.planBytes(plan);
-            });
-        benchmark::DoNotOptimize(sum);
-    }
-}
-
-void
 BM_CommModelPlanBytes(benchmark::State &state)
 {
     dnn::Network net = dnn::makeVggE();
@@ -462,14 +374,6 @@ BENCHMARK(BM_PairwisePartitionReference)
     ->Range(8, 4096)
     ->Complexity(benchmark::oN);
 BENCHMARK(BM_HierarchicalPartition)->DenseRange(1, 6);
-BENCHMARK(BM_BruteForcePairwise)
-    ->DenseRange(8, 20, 4)
-    ->Complexity(benchmark::o1); // reported complexity is meaningless
-                                 // here; the point is the 2^N blow-up
-                                 // visible in the raw times
-BENCHMARK(BM_BruteForcePairwiseReference)
-    ->DenseRange(8, 20, 4)
-    ->Complexity(benchmark::o1);
 BENCHMARK(BM_HyparFullSearchZoo);
 BENCHMARK(BM_HyparFullSearchZooReference);
 // H starts at 4: below H = 3 partition() delegates to the reference
@@ -497,8 +401,4 @@ BENCHMARK(BM_SimdArgminAdd)->Arg(16);
 BENCHMARK(BM_SimdArgminAddReference)->Arg(16);
 BENCHMARK(BM_SimdRelaxRow)->Arg(16);
 BENCHMARK(BM_SimdRelaxRowReference)->Arg(16);
-BENCHMARK(BM_BruteForceHierarchical);
-BENCHMARK(BM_BruteForceHierarchicalReference);
-BENCHMARK(BM_SweepLevelBytes);
-BENCHMARK(BM_SweepLevelBytesReference);
 BENCHMARK(BM_CommModelPlanBytes);

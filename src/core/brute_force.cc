@@ -2,142 +2,12 @@
 
 #include <bit>
 
-#include "core/optimal_partitioner.hh"
-#include "core/tie_break.hh"
 #include "util/logging.hh"
 
 namespace hypar::core {
 
-namespace {
-
-/**
- * Prefix-sum tape over the 2L-1 cost terms of one level plan, laid out
- * exactly as CommModel::pairBytes accumulates them: intra(0), inter(0),
- * intra(1), inter(1), ..., intra(L-1). total() replays that precise
- * left-to-right addition order, so it is bit-identical to a pairBytes
- * rescore while a single-term repair only touches a suffix.
- */
-class TermTape
-{
-  public:
-    explicit TermTape(std::size_t layers)
-        : terms_(layers > 0 ? 2 * layers - 1 : 0),
-          prefix_(terms_.size())
-    {}
-
-    double &term(std::size_t i) { return terms_[i]; }
-
-    /** Recompute prefix sums from term index `from` to the end. */
-    void repairFrom(std::size_t from)
-    {
-        for (std::size_t i = from; i < terms_.size(); ++i)
-            prefix_[i] = i == 0 ? terms_[0] : prefix_[i - 1] + terms_[i];
-    }
-
-    double total() const
-    {
-        return prefix_.empty() ? 0.0 : prefix_.back();
-    }
-
-    /** Sum of terms 0..i — the same left-to-right partial total()
-     *  walks through; used by the suffix-bound block pruning. */
-    double prefixAt(std::size_t i) const { return prefix_[i]; }
-
-  private:
-    std::vector<double> terms_;
-    std::vector<double> prefix_;
-};
-
-/** First tape index affected by a flip of layer j: its left inter term
- *  (or its own intra term for the first layer). */
-std::size_t
-repairStart(std::size_t j)
-{
-    return j > 0 ? 2 * j - 1 : 0;
-}
-
-/**
- * Relative slack for the Gray-walk suffix-bound pruning, mirroring
- * the engines' kBoundSlack convention: the bound is admissible in the
- * DP's float semantics while the walk scores plans through the tape
- * algebra, and 1e-9 dwarfs the ~tens-of-ulp re-association drift
- * between the two, so `prefix + bound > best * (1 + slack)` proves no
- * plan in the block can beat — or exactly tie — the incumbent.
- */
-constexpr double kPruneSlack = 1e-9;
-
-} // namespace
-
 PairwiseResult
 bruteForcePairwise(const CommModel &model, const History &hist)
-{
-    // The prefix-sum tape mirrors the chain term order; on a DAG the
-    // naive rescan (whose pairBytes is DAG-aware) is the enumerator.
-    if (!model.network().isChain())
-        return bruteForcePairwiseReference(model, hist);
-    const std::size_t num_layers = model.numLayers();
-    if (num_layers > 24)
-        util::fatal("bruteForcePairwise: network too large to enumerate");
-
-    PairwiseResult best;
-    if (num_layers == 0) {
-        best.plan = levelPlanFromMask(0, 0);
-        best.commBytes = model.pairBytes(best.plan, hist);
-        return best;
-    }
-
-    PairTables t;
-    model.fillPairTables(hist, t);
-
-    // Start at mask 0: all layers dp, all inter terms dp-dp (= 0).
-    TermTape tape(num_layers);
-    for (std::size_t l = 0; l < num_layers; ++l) {
-        tape.term(2 * l) = t.intra[2 * l];
-        if (l + 1 < num_layers)
-            tape.term(2 * l + 1) = t.inter[4 * l];
-    }
-    tape.repairFrom(0);
-
-    std::uint64_t mask = 0;
-    std::uint64_t best_mask = 0;
-    double best_bytes = tape.total();
-
-    const std::uint64_t count = std::uint64_t{1} << num_layers;
-    for (std::uint64_t i = 1; i < count; ++i) {
-        // Reflected Gray code: step i flips exactly one bit. Map the
-        // low (frequently flipped) Gray bits to the *last* layers so
-        // the tape suffix to repair is O(1) amortized.
-        const auto gray_bit =
-            static_cast<std::size_t>(std::countr_zero(i));
-        const std::size_t j = num_layers - 1 - gray_bit;
-        mask ^= std::uint64_t{1} << j;
-
-        const std::size_t pj = (mask >> j) & 1u;
-        tape.term(2 * j) = t.intra[2 * j + pj];
-        if (j > 0) {
-            const std::size_t pp = (mask >> (j - 1)) & 1u;
-            tape.term(2 * j - 1) = t.inter[4 * (j - 1) + 2 * pp + pj];
-        }
-        if (j + 1 < num_layers) {
-            const std::size_t pn = (mask >> (j + 1)) & 1u;
-            tape.term(2 * j + 1) = t.inter[4 * j + 2 * pj + pn];
-        }
-        tape.repairFrom(repairStart(j));
-
-        const double bytes = tape.total();
-        if (better(bytes, mask, best_bytes, best_mask)) {
-            best_bytes = bytes;
-            best_mask = mask;
-        }
-    }
-
-    best.plan = levelPlanFromMask(best_mask, num_layers);
-    best.commBytes = best_bytes;
-    return best;
-}
-
-PairwiseResult
-bruteForcePairwiseReference(const CommModel &model, const History &hist)
 {
     const std::size_t num_layers = model.numLayers();
     if (num_layers > 24)
@@ -200,209 +70,6 @@ enumerateLevels(const CommModel &model, std::size_t levels_left,
 BruteForceResult
 bruteForceHierarchical(const CommModel &model, std::size_t levels)
 {
-    // The Gray-walk tapes are chain-shaped (one inter term per layer
-    // boundary). On a DAG network the naive enumerator is the oracle:
-    // it rescores every plan through the DAG-aware pairBytes, and its
-    // ascending-mask visit order implements the shared tie-break on
-    // the concatenated level-mask key — the same key the
-    // series-parallel DP packs (core/series_parallel.hh).
-    if (!model.network().isChain())
-        return bruteForceHierarchicalReference(model, levels);
-    const std::size_t num_layers = model.numLayers();
-    const std::size_t bits = num_layers * levels;
-    if (bits > 26)
-        util::fatal("bruteForceHierarchical: search space too large");
-    if (levels == 0 || num_layers == 0)
-        return bruteForceHierarchicalReference(model, levels);
-
-    // One TermTape per level, exactly as in sweepLevelBytes — but here
-    // *every* level is swept jointly: the enumeration walks a Gray code
-    // over all H*L (level, layer) bits, so each visited plan differs
-    // from the previous one by a single choice flip. A flip at (h, j)
-    // repairs level h's own terms at layer j and, through the upper
-    // dp/mp counts, the terms of every level below h.
-
-    // choices[h][l] under the current joint mask (all-dp at the start).
-    std::vector<LevelPlan> choices(
-        levels, LevelPlan(num_layers, Parallelism::kData));
-
-    // Per-level upper dp/mp counts under the current joint mask.
-    std::vector<std::vector<unsigned>> dpc(
-        levels, std::vector<unsigned>(num_layers, 0));
-    std::vector<std::vector<unsigned>> mpc(
-        levels, std::vector<unsigned>(num_layers, 0));
-    for (std::size_t h = 1; h < levels; ++h)
-        for (std::size_t l = 0; l < num_layers; ++l)
-            dpc[h][l] = static_cast<unsigned>(h);
-
-    auto fillTerm = [&](TermTape &tape, std::size_t h, std::size_t l) {
-        tape.term(2 * l) = model.intraBytesAt(l, choices[h][l],
-                                              dpc[h][l], mpc[h][l]);
-        if (l + 1 < num_layers) {
-            tape.term(2 * l + 1) =
-                model.interBytesAt(l, choices[h][l], choices[h][l + 1],
-                                   dpc[h][l], dpc[h][l + 1]);
-        }
-    };
-
-    std::vector<TermTape> tapes(levels, TermTape(num_layers));
-    for (std::size_t h = 0; h < levels; ++h) {
-        for (std::size_t l = 0; l < num_layers; ++l)
-            fillTerm(tapes[h], h, l);
-        tapes[h].repairFrom(0);
-    }
-
-    // Replays the naive recursion's accumulation exactly: level-
-    // ascending adds of levelWeight(h) * per-pair bytes, each per-pair
-    // total itself tape-exact.
-    auto totalBytes = [&] {
-        double total = 0.0;
-        for (std::size_t h = 0; h < levels; ++h)
-            total += model.levelWeight(h) * tapes[h].total();
-        return total;
-    };
-
-    // The naive recursion enumerates level-0 masks outermost and keeps
-    // the first optimum it meets, i.e. the smallest value of the
-    // concatenated key mask_0 .. mask_{H-1} (mask_0 most significant).
-    // The Gray walk visits plans in a different order, so ties resolve
-    // through better() on that same key, keeping the returned plan
-    // bit-identical to the reference.
-    auto keyBit = [&](std::size_t h, std::size_t j) {
-        return std::uint64_t{1} << ((levels - 1 - h) * num_layers + j);
-    };
-
-    // Layer-major Gray mapping: the low (frequently flipped) joint
-    // bits cover *all* levels of the last layer — bottom level
-    // fastest, so the cheapest flips touch no other level and the
-    // shortest tape suffix. Crucially, the high bits then hold a
-    // fully-fixed layer *prefix*, which is exactly the shape the
-    // engines' suffix bound h[l][s] can prune: whenever the walk
-    // enters a block whose fixed prefix provably cannot complete
-    // below the incumbent, the entire 2^g sub-sweep is skipped.
-    auto flipLayer = [&](std::size_t g) {
-        return num_layers - 1 - g / levels;
-    };
-    auto flipLevel = [&](std::size_t g) {
-        return levels - 1 - g % levels;
-    };
-
-    // Per-layer DP state (bit h = mp at level h), kept in lockstep
-    // with `choices` so the suffix bound can be indexed directly.
-    std::vector<std::uint32_t> lstate(num_layers, 0);
-
-    // The engines' admissible completion bound, [l * 2^H + s]. The
-    // joint cap L*H <= 26 keeps H <= 13 whenever L >= 2, far under
-    // the partitioner's H = 16 ceiling.
-    std::vector<double> suffix;
-    if (num_layers >= 2)
-        suffix = OptimalPartitioner(model).suffixTable(levels);
-    const std::uint32_t states = std::uint32_t{1} << levels;
-
-    std::uint64_t key = 0;
-    std::uint64_t best_key = 0;
-    double best_bytes = totalBytes();
-
-    // One Gray flip: update the choice, the tie-break key, the DP
-    // state, the flipped level's terms, and the upper counts (and
-    // terms) of every level below it.
-    auto applyFlip = [&](std::size_t g) {
-        const std::size_t j = flipLayer(g);
-        const std::size_t h = flipLevel(g);
-        const bool now_mp = choices[h][j] == Parallelism::kData;
-        choices[h][j] = now_mp ? Parallelism::kModel : Parallelism::kData;
-        key ^= keyBit(h, j);
-        lstate[j] ^= std::uint32_t{1} << h;
-
-        const std::size_t start = repairStart(j);
-        fillTerm(tapes[h], h, j);
-        if (j > 0)
-            fillTerm(tapes[h], h, j - 1);
-        tapes[h].repairFrom(start);
-        for (std::size_t below = h + 1; below < levels; ++below) {
-            if (now_mp) {
-                --dpc[below][j];
-                ++mpc[below][j];
-            } else {
-                ++dpc[below][j];
-                --mpc[below][j];
-            }
-            fillTerm(tapes[below], below, j);
-            if (j > 0)
-                fillTerm(tapes[below], below, j - 1);
-            tapes[below].repairFrom(start);
-        }
-    };
-
-    const std::uint64_t count = std::uint64_t{1} << bits;
-    for (std::uint64_t i = 1; i < count; ++i) {
-        const auto g = static_cast<std::size_t>(std::countr_zero(i));
-        applyFlip(g);
-
-        // Block pruning: the next 2^g - 1 steps sweep only bits
-        // below g, so layers 0..anchor (the deepest fully-fixed
-        // layer) stay put for the whole block. If the prefix cost
-        // through the anchor plus the anchor state's completion
-        // bound clears the incumbent with slack, no plan in the
-        // block can beat or tie it — fast-forward the Gray counter
-        // and resync the walk state by flipping the bits that
-        // differ, without scoring anything in between.
-        if (!suffix.empty() && g >= levels) {
-            const std::size_t j = flipLayer(g);
-            // The deepest fully-fixed layer for the coming block: j
-            // itself when the flip was j's top bit (every lower bit
-            // belongs to later layers), else j - 1 — which does not
-            // exist when j == 0, so no prefix is fixed and the block
-            // cannot be pruned.
-            const bool top_bit = g % levels == 0;
-            const std::size_t anchor =
-                top_bit ? j : (j > 0 ? j - 1 : num_layers);
-            if (anchor + 1 < num_layers) {
-                double prefix_bytes = 0.0;
-                for (std::size_t h = 0; h < levels; ++h)
-                    prefix_bytes += model.levelWeight(h) *
-                                    tapes[h].prefixAt(2 * anchor);
-                const double bound =
-                    suffix[anchor * states + lstate[anchor]];
-                if (prefix_bytes + bound >
-                    best_bytes * (1.0 + kPruneSlack)) {
-                    const std::uint64_t target =
-                        i + (std::uint64_t{1} << g) - 1;
-                    std::uint64_t diff =
-                        (i ^ (i >> 1)) ^ (target ^ (target >> 1));
-                    while (diff != 0) {
-                        applyFlip(static_cast<std::size_t>(
-                            std::countr_zero(diff)));
-                        diff &= diff - 1;
-                    }
-                    i = target;
-                    continue;
-                }
-            }
-        }
-
-        const double bytes = totalBytes();
-        if (better(bytes, key, best_bytes, best_key)) {
-            best_bytes = bytes;
-            best_key = key;
-        }
-    }
-
-    BruteForceResult best;
-    best.commBytes = best_bytes;
-    best.plan.levels.reserve(levels);
-    const std::uint64_t layer_mask =
-        (std::uint64_t{1} << num_layers) - 1;
-    for (std::size_t h = 0; h < levels; ++h)
-        best.plan.levels.push_back(levelPlanFromMask(
-            (best_key >> ((levels - 1 - h) * num_layers)) & layer_mask,
-            num_layers));
-    return best;
-}
-
-BruteForceResult
-bruteForceHierarchicalReference(const CommModel &model, std::size_t levels)
-{
     if (model.numLayers() * levels > 24)
         util::fatal("bruteForceHierarchical: search space too large");
 
@@ -445,124 +112,6 @@ sweepLevelMasks(
             toggled &= toggled - 1;
         }
         visit(mask, plan);
-    }
-}
-
-void
-sweepLevelBytes(const CommModel &model, const HierarchicalPlan &base,
-                std::size_t level,
-                const std::function<void(std::uint64_t, double)> &visit)
-{
-    if (level >= base.numLevels())
-        util::fatal("sweepLevelBytes: level out of range");
-    const std::size_t num_layers = base.numLayers();
-    if (num_layers > 24)
-        util::fatal("sweepLevelBytes: too many layers to sweep");
-    if (num_layers != model.numLayers())
-        util::fatal("sweepLevelBytes: plan does not match the model");
-    const std::size_t num_levels = base.numLevels();
-    for (const auto &level_plan : base.levels)
-        if (level_plan.size() != num_layers)
-            util::fatal("sweepLevelBytes: ragged plan (level layer "
-                        "counts differ)");
-
-    // The incremental tapes below are chain-shaped; on a DAG network
-    // fall back to substituting each mask and rescoring through the
-    // DAG-aware planBytes — same values, no tape.
-    if (!model.network().isChain()) {
-        sweepLevelMasks(base, level,
-                        [&](std::uint64_t mask,
-                            const HierarchicalPlan &plan) {
-                            visit(mask, model.planBytes(plan));
-                        });
-        return;
-    }
-
-    if (num_layers == 0) {
-        // Degenerate: every mask is the empty plan.
-        visit(0, model.planBytes(base));
-        return;
-    }
-
-    // choices[h][l], with the swept level starting at mask 0 (all dp).
-    std::vector<LevelPlan> choices(base.levels);
-    choices[level].assign(num_layers, Parallelism::kData);
-
-    // Per-level upper dp/mp counts under the *current* swept mask.
-    std::vector<std::vector<unsigned>> dpc(
-        num_levels, std::vector<unsigned>(num_layers, 0));
-    std::vector<std::vector<unsigned>> mpc(
-        num_levels, std::vector<unsigned>(num_layers, 0));
-    for (std::size_t h = 1; h < num_levels; ++h) {
-        for (std::size_t l = 0; l < num_layers; ++l) {
-            const bool mp = choices[h - 1][l] == Parallelism::kModel;
-            dpc[h][l] = dpc[h - 1][l] + (mp ? 0u : 1u);
-            mpc[h][l] = mpc[h - 1][l] + (mp ? 1u : 0u);
-        }
-    }
-
-    auto fillTerm = [&](TermTape &tape, std::size_t h, std::size_t l) {
-        tape.term(2 * l) = model.intraBytesAt(l, choices[h][l],
-                                              dpc[h][l], mpc[h][l]);
-        if (l + 1 < num_layers) {
-            tape.term(2 * l + 1) =
-                model.interBytesAt(l, choices[h][l], choices[h][l + 1],
-                                   dpc[h][l], dpc[h][l + 1]);
-        }
-    };
-
-    std::vector<TermTape> tapes(num_levels, TermTape(num_layers));
-    for (std::size_t h = 0; h < num_levels; ++h) {
-        for (std::size_t l = 0; l < num_layers; ++l)
-            fillTerm(tapes[h], h, l);
-        tapes[h].repairFrom(0);
-    }
-
-    // Replays planBytes' accumulation exactly: level-ascending adds of
-    // levelWeight(h) * per-pair bytes, each per-pair total itself
-    // tape-exact.
-    auto totalBytes = [&] {
-        double total = 0.0;
-        for (std::size_t h = 0; h < num_levels; ++h)
-            total += model.levelWeight(h) * tapes[h].total();
-        return total;
-    };
-
-    std::uint64_t mask = 0;
-    visit(0, totalBytes());
-
-    const std::uint64_t count = std::uint64_t{1} << num_layers;
-    for (std::uint64_t i = 1; i < count; ++i) {
-        const auto gray_bit =
-            static_cast<std::size_t>(std::countr_zero(i));
-        const std::size_t j = num_layers - 1 - gray_bit;
-        mask ^= std::uint64_t{1} << j;
-        const bool now_mp = (mask >> j) & 1u;
-        choices[level][j] =
-            now_mp ? Parallelism::kModel : Parallelism::kData;
-
-        // The swept level's own terms change through the choice; the
-        // levels below it see layer j's upper counts shift by one.
-        const std::size_t start = repairStart(j);
-        fillTerm(tapes[level], level, j);
-        if (j > 0)
-            fillTerm(tapes[level], level, j - 1);
-        tapes[level].repairFrom(start);
-        for (std::size_t h = level + 1; h < num_levels; ++h) {
-            if (now_mp) {
-                --dpc[h][j];
-                ++mpc[h][j];
-            } else {
-                ++dpc[h][j];
-                --mpc[h][j];
-            }
-            fillTerm(tapes[h], h, j);
-            if (j > 0)
-                fillTerm(tapes[h], h, j - 1);
-            tapes[h].repairFrom(start);
-        }
-
-        visit(mask, totalBytes());
     }
 }
 

@@ -1,23 +1,15 @@
 /**
  * @file
- * Exhaustive enumeration baselines.
+ * Exhaustive enumeration oracles.
  *
  * The paper motivates Algorithm 1 by the O(2^N) cost of enumerating all
  * per-layer assignments (Section 3.4). These enumerators implement that
- * brute force for two purposes:
- *   1. validating that Algorithm 1 returns the exact optimum (tests),
- *   2. the parallelism-space exploration studies of Fig. 9 and Fig. 10.
- *
- * The single-level enumerators are Gray-code incremental: per visited
- * mask exactly one layer flips, so only that layer's intra term and its
- * two adjacent inter terms change, and the running total is repaired
- * through a prefix-sum tape instead of a full O(N) rescore. Because the
- * tape replays the exact left-to-right addition order of
- * CommModel::pairBytes, every per-mask total — and therefore the
- * returned optimum and plan — is bit-identical to the naive rescan
- * (kept as bruteForcePairwiseReference). The frequently flipped Gray
- * bits are mapped to the *last* layers so the tape suffix that needs
- * recomputation is O(1) amortized, and no per-mask allocation happens.
+ * brute force as independent test oracles: each visits every
+ * assignment in ascending mask order and rescores it from scratch
+ * through CommModel::pairBytes, sharing no table, bound or scan with
+ * the search engines they check. sweepLevelMasks is the plan-level
+ * counterpart: Evaluator::sweepNeighborhood falls back to it on DAG
+ * networks, and tests check the incremental chain sweep against it.
  */
 
 #ifndef HYPAR_CORE_BRUTE_FORCE_HH
@@ -42,49 +34,28 @@ struct BruteForceResult
 /**
  * Enumerate all 2^L single-level assignments under `hist` and return the
  * cheapest (ties resolved toward the smaller mask, i.e. dp-heavy — the
- * shared rule of core/tie_break.hh). Fatal for L > 24 — this is a
- * validation tool, not a search engine.
+ * shared rule of core/tie_break.hh). One full pairBytes rescore per
+ * mask. Fatal for L > 24 — this is a validation tool, not a search
+ * engine.
  */
 PairwiseResult bruteForcePairwise(const CommModel &model,
                                   const History &hist);
 
 /**
- * The pre-optimization enumerator: one LevelPlan allocation and one
- * full pairBytes rescore per mask. Bit-identical results to
- * bruteForcePairwise(); kept as a test oracle and benchmark baseline.
- */
-PairwiseResult bruteForcePairwiseReference(const CommModel &model,
-                                           const History &hist);
-
-/**
  * Enumerate all (2^L)^H hierarchical plans and return the cheapest by
  * total communication — the oracle for the joint (OptimalPartitioner)
- * search. The walk is a Gray code over the joint H*L bit-string: each
- * visited plan differs from the previous one by a single (level, layer)
- * flip, which repairs that level's prefix-sum tape and the upper-count
- * dependent terms of the levels below it, so a visit costs O(1)
- * amortized instead of a full O(L*H) rescore. Costs and the returned
- * plan are bit-identical to the naive recursion (kept as
- * bruteForceHierarchicalReference); ties resolve by the shared rule of
- * core/tie_break.hh on the concatenated level-mask key. Fatal when
- * L*H > 26.
+ * search. A naive recursion, level 0 outermost, with one full
+ * pairBytes rescore per level plan; ties keep the first optimum met,
+ * i.e. the smallest concatenated level-mask key (core/tie_break.hh).
+ * pairBytes is DAG-aware, so the oracle covers DAG networks too.
+ * Fatal when L*H > 24.
  */
 BruteForceResult bruteForceHierarchical(const CommModel &model,
                                         std::size_t levels);
 
 /**
- * The pre-optimization enumerator: the naive (2^L)^H recursion with one
- * LevelPlan allocation and one full pairBytes rescore per plan.
- * Bit-identical results to bruteForceHierarchical(); kept as a test
- * oracle and benchmark baseline. Fatal when L*H > 24.
- */
-BruteForceResult bruteForceHierarchicalReference(const CommModel &model,
-                                                 std::size_t levels);
-
-/**
  * Visit every plan produced by substituting all 2^(layers) masks at the
- * given hierarchy level of `base` (the Fig. 9/10 sweep building block).
- * The visitor receives the mask and the substituted plan. Masks are
+ * given hierarchy level of `base`. The visitor receives the mask and the substituted plan. Masks are
  * visited in ascending order; the plan is patched in place between
  * visits, so no allocation happens per mask.
  */
@@ -92,23 +63,6 @@ void sweepLevelMasks(
     const HierarchicalPlan &base, std::size_t level,
     const std::function<void(std::uint64_t, const HierarchicalPlan &)>
         &visit);
-
-/**
- * Communication-space variant of sweepLevelMasks: visit the *total plan
- * communication* (CommModel::planBytes of `base` with the level's plan
- * replaced by the mask) for all 2^(layers) masks, without materializing
- * or rescoring any plan. Masks are visited in Gray-code order — one
- * layer flip apart — and each flip repairs only the affected terms of
- * the swept level and of the levels below it (whose tensor scaling
- * depends on the swept choice). Every reported value is bit-identical
- * to calling planBytes on the substituted plan. Fatal when the level is
- * out of range, the plan has more than 24 layers, or the plan does not
- * match the model's network.
- */
-void sweepLevelBytes(const CommModel &model, const HierarchicalPlan &base,
-                     std::size_t level,
-                     const std::function<void(std::uint64_t, double)>
-                         &visit);
 
 } // namespace hypar::core
 

@@ -558,6 +558,14 @@ searchEngineFromName(const std::string &name)
                 "' (auto|dense|astar)");
 }
 
+SearchEngine
+resolveSearchEngine(SearchEngine engine, std::size_t levels)
+{
+    if (engine != SearchEngine::kAuto)
+        return engine;
+    return levels <= kDenseMax ? SearchEngine::kDense : SearchEngine::kAStar;
+}
+
 OptimalPartitioner::OptimalPartitioner(const CommModel &model)
     : model_(&model)
 {}
@@ -621,10 +629,7 @@ HierarchicalResult
 OptimalPartitioner::partition(std::size_t levels,
                               const SearchOptions &options) const
 {
-    SearchEngine engine = options.engine;
-    if (engine == SearchEngine::kAuto)
-        engine = levels <= kDenseMax ? SearchEngine::kDense
-                                     : SearchEngine::kAStar;
+    const SearchEngine engine = resolveSearchEngine(options.engine, levels);
     // Non-chain networks route to the series-parallel decomposition
     // search (core/series_parallel.hh); every engine stays exact there.
     // Chains never enter it, so every historical chain result is
@@ -640,21 +645,6 @@ OptimalPartitioner::partition(std::size_t levels,
         break;
     }
     util::fatal("OptimalPartitioner: unresolved search engine");
-}
-
-std::vector<double>
-OptimalPartitioner::suffixTable(std::size_t levels) const
-{
-    if (!model_->network().isChain())
-        util::fatal("OptimalPartitioner::suffixTable is chain-shaped "
-                    "(per-transition terms); DAG networks have no "
-                    "single successor per layer");
-    if (levels > kMax)
-        util::fatal("OptimalPartitioner: suffix bound capped at H = 16");
-    const std::size_t num_layers = model_->numLayers();
-    HYPAR_ASSERT(num_layers > 0, "suffix bound of an empty network");
-    return suffixBound(*model_, levels, num_layers, intraTable(levels),
-                       buildInterTables(*model_, levels));
 }
 
 HierarchicalResult

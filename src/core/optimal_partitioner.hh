@@ -131,6 +131,11 @@ enum class SearchEngine {
  *  "beam" are aliases of "astar". Fatal otherwise. */
 SearchEngine searchEngineFromName(const std::string &name);
 
+/** The engine partition() runs for `engine` at depth `levels`: kAuto
+ *  resolves to kDense up to H = 10 and to kAStar beyond; an explicit
+ *  engine is returned as is. */
+SearchEngine resolveSearchEngine(SearchEngine engine, std::size_t levels);
+
 /**
  * Tunables of the joint search. Every engine is exact, so the engine
  * choice changes only how fast the plan arrives (and the SearchStats
@@ -189,17 +194,6 @@ class OptimalPartitioner
     /** Total inter-layer cost of the l -> l+1 transition. */
     double interCost(std::size_t layer, std::uint32_t v_l,
                      std::uint32_t v_next, std::size_t levels) const;
-
-    /**
-     * The admissible per-(layer, state) completion bound h[l][s] the
-     * A* engine prunes with: a lower bound (in the DP's own
-     * float semantics, minus the re-association drift kBoundSlack
-     * absorbs) on the cost of layers after l given layer l in level
-     * vector s, flat [l * 2^H + s]. Exposed so external enumerations
-     * — bruteForceHierarchical's Gray walk — can prune against the
-     * same bound A* uses. Fatal for levels > 16.
-     */
-    std::vector<double> suffixTable(std::size_t levels) const;
 
   private:
     HierarchicalResult partitionDense(std::size_t levels) const;

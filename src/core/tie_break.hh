@@ -11,7 +11,7 @@
  *
  * Rationale: dp-dp transitions are free in the model (Table 2), so dp
  * is the safer default among equals, and a total order over (cost,
- * index) makes every search — DP argmin, Gray-code enumeration,
+ * index) makes every search — DP argmin, best-first expansion,
  * exhaustive scan — return the same plan no matter the visit order or
  * thread count. Searches that already visit candidates in ascending
  * index order may keep a bare strict `<` comparison; it implements this

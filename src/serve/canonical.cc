@@ -169,9 +169,13 @@ canonicalPlanRequest(const dnn::Network &network,
     std::string out = canonicalContext(network, config);
     out += "[plan]\n";
     appendKV(out, "strategy", strategy);
-    // The parsed engine, so the aliases "sparse" and "beam" key as
-    // "astar" and share its entry.
-    appendKV(out, "engine", std::string(searchEngineName(search.engine)));
+    // The engine that actually runs: aliases parse to "astar" and
+    // "auto" resolves by depth, so requests that run the same search
+    // share one entry. No engine runs for the other strategies.
+    if (strategy == "optimal")
+        appendKV(out, "engine",
+                 std::string(searchEngineName(core::resolveSearchEngine(
+                     search.engine, config.levels))));
     return out;
 }
 

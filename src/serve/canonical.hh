@@ -29,9 +29,11 @@
  *  - planHash(network, config, strategy, search): contextHash's
  *    payload plus the strategy and core::SearchOptions. The on-disk
  *    plan cache keys on it, because the searched plan's SearchStats
- *    depend on the engine too. The engine is keyed by its parsed
- *    value, so the alias names "sparse" and "beam" share the
- *    "astar" entry.
+ *    depend on the engine too. The engine is keyed as the one that
+ *    runs (core::resolveSearchEngine): the alias names "sparse" and
+ *    "beam" share the "astar" entry, "auto" shares the entry of the
+ *    engine it resolves to at the request's depth, and strategies
+ *    other than "optimal" carry no engine line at all.
  *
  * sweepHash(network, config, strategy, search, level) extends the plan
  * payload with the swept hierarchy level; the on-disk sweep-result

@@ -56,9 +56,10 @@ namespace hypar::serve {
 
 /** On-disk format version; bump on any layout or plan-key change, so
  *  entries keyed under an older key text quarantine instead of
- *  lingering as unreachable stale files. Version 3: the plan key lost
- *  its beam_width and adaptive_beam lines. */
-inline constexpr int kPlanCacheVersion = 3;
+ *  lingering as unreachable stale files. Version 4: the plan key names
+ *  the engine that runs ("auto" resolved by depth) and only for the
+ *  "optimal" strategy. */
+inline constexpr int kPlanCacheVersion = 4;
 
 /** Format tag every plan entry must carry. */
 inline constexpr const char *kPlanCacheFormat = "hyparc-plan-cache";

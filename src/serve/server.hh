@@ -86,6 +86,12 @@ inline constexpr const char *kRequestFields[] = {
     "steps",     // evaluate: steady-state cadence over N steps
 };
 
+/** Largest accepted `steps` of an evaluate request. The steady-state
+ *  replay is linear in steps: VGG-E at H = 4 with overlap takes about
+ *  0.5 us a step on a 4-core x86-64 Xeon, so a capped request answers
+ *  in tens of milliseconds. */
+inline constexpr std::size_t kMaxEvaluateSteps = 65536;
+
 /** Server-wide knobs (from `hyparc serve` flags). */
 struct ServeOptions
 {

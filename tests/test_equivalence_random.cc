@@ -1,11 +1,11 @@
 /**
  * @file
  * Randomized equivalence tests for the table-driven search engines: the
- * optimized DP (OptimalPartitioner::partition), the table-driven
- * Algorithm 1 (PairwisePartitioner::partition), the Gray-code
- * enumerator (bruteForcePairwise) and the incremental sweep scorer
- * (sweepLevelBytes) must return *bit-identical* costs and plans to the
- * naive seed implementations, which are kept as *_reference oracles.
+ * optimized DP (OptimalPartitioner::partition, dense and A*) and the
+ * table-driven Algorithm 1 (PairwisePartitioner::partition) must return
+ * *bit-identical* costs and plans to the naive seed implementations,
+ * which are kept as *Reference oracles, and to the flat enumeration
+ * oracles of core/brute_force.hh where those are affordable.
  *
  * "Bit-identical" is EXPECT_EQ on doubles — no ULP tolerance. The
  * optimized paths are constructed to replay the oracles' exact
@@ -174,7 +174,7 @@ TEST(EquivalenceRandom, PairwisePartitionerMatchesReference)
     }
 }
 
-TEST(EquivalenceRandom, GrayCodeEnumeratorMatchesReference)
+TEST(EquivalenceRandom, EnumeratorMatchesAlgorithm1)
 {
     std::mt19937 rng(303);
     for (int trial = 0; trial < 120; ++trial) {
@@ -182,15 +182,11 @@ TEST(EquivalenceRandom, GrayCodeEnumeratorMatchesReference)
         const CommModel model(net, randomConfig(rng));
         const History hist = randomHistory(net.size(), rng);
 
-        const auto fast = core::bruteForcePairwise(model, hist);
-        const auto ref = core::bruteForcePairwiseReference(model, hist);
-        EXPECT_EQ(fast.commBytes, ref.commBytes) << "trial " << trial;
-        EXPECT_EQ(fast.plan, ref.plan) << "trial " << trial;
-
-        // The enumerated optimum is also what Algorithm 1 finds.
+        // The enumerated optimum is exactly what Algorithm 1 finds.
+        const auto brute = core::bruteForcePairwise(model, hist);
         const auto dp = core::PairwisePartitioner(model).partition(hist);
-        EXPECT_EQ(fast.commBytes, dp.commBytes) << "trial " << trial;
-        EXPECT_EQ(fast.plan, dp.plan) << "trial " << trial;
+        EXPECT_EQ(brute.commBytes, dp.commBytes) << "trial " << trial;
+        EXPECT_EQ(brute.plan, dp.plan) << "trial " << trial;
     }
 }
 
@@ -259,38 +255,12 @@ TEST(EquivalenceRandom, AStarMatchesReferencePastTheDenseCeiling)
     }
 }
 
-TEST(EquivalenceRandom, GrayCodeHierarchicalMatchesReference)
+TEST(EquivalenceRandom, JointDpMatchesReferenceAndFlatOracle)
 {
-    // The joint Gray-code enumerator must reproduce the naive (2^L)^H
-    // recursion bit for bit: same total bytes, same plan on ties.
-    std::mt19937 rng(707);
-    std::uniform_int_distribution<std::size_t> levels(1, 3);
-    for (int trial = 0; trial < 60; ++trial) {
-        const dnn::Network net = randomNetwork(rng);
-        const CommModel model(net, randomConfig(rng));
-
-        std::size_t h = levels(rng);
-        while (h > 1 && net.size() * h > 16)
-            --h; // keep the naive oracle's rescan affordable
-        if (net.size() * h > 16)
-            continue;
-
-        const auto fast = core::bruteForceHierarchical(model, h);
-        const auto ref = core::bruteForceHierarchicalReference(model, h);
-        EXPECT_EQ(fast.commBytes, ref.commBytes)
-            << "trial " << trial << " L=" << net.size() << " H=" << h;
-        EXPECT_EQ(fast.plan, ref.plan)
-            << "trial " << trial << " L=" << net.size() << " H=" << h;
-    }
-}
-
-TEST(EquivalenceRandom, JointDpMatchesGrayCodeHierarchicalOracle)
-{
-    // The widened oracle at work: both engines of the joint DP agree
-    // with exhaustive enumeration at H = 2-3 on networks big enough to
-    // exercise real pruning (the old naive recursion choked above
-    // L*H = 24; the Gray-code tape reaches these sizes in well under a
-    // second).
+    // Both engines of the joint DP agree bit for bit with the naive
+    // reference DP at H = 2-3 on networks big enough to exercise real
+    // pruning, and with exhaustive enumeration where the flat oracle
+    // stays cheap (it rescores (2^L)^H plans, ~0.4 s at 21 plan bits).
     std::mt19937 rng(808);
     for (int trial = 0; trial < 25; ++trial) {
         const dnn::Network net = randomNetwork(rng);
@@ -298,61 +268,24 @@ TEST(EquivalenceRandom, JointDpMatchesGrayCodeHierarchicalOracle)
         const core::OptimalPartitioner partitioner(model);
 
         const std::size_t h = net.size() <= 8 ? 3 : 2;
-        if (net.size() * h > 26)
-            continue;
-        const auto brute = core::bruteForceHierarchical(model, h);
-
+        const auto ref = partitioner.partitionReference(h);
         for (auto engine :
              {core::SearchEngine::kDense, core::SearchEngine::kAStar}) {
             core::SearchOptions opts;
             opts.engine = engine;
             const auto exact = partitioner.partition(h, opts);
-            EXPECT_DOUBLE_EQ(exact.commBytes, brute.commBytes)
+            EXPECT_EQ(exact.commBytes, ref.commBytes)
+                << "trial " << trial << " L=" << net.size() << " H=" << h
+                << " engine=" << static_cast<int>(engine);
+            EXPECT_EQ(exact.plan, ref.plan)
                 << "trial " << trial << " L=" << net.size() << " H=" << h
                 << " engine=" << static_cast<int>(engine);
         }
-    }
-}
 
-TEST(EquivalenceRandom, SweepLevelBytesMatchesPlanBytes)
-{
-    std::mt19937 rng(505);
-    std::uniform_int_distribution<std::size_t> levels(1, 4);
-    std::bernoulli_distribution coin(0.5);
-    for (int trial = 0; trial < 100; ++trial) {
-        const dnn::Network net = randomNetwork(rng);
-        if (net.size() > 10)
-            continue; // keep the 2^L naive rescan cheap
-        const CommModel model(net, randomConfig(rng));
-
-        const std::size_t num_levels = levels(rng);
-        core::HierarchicalPlan base;
-        base.levels.assign(num_levels,
-                           LevelPlan(net.size(), Parallelism::kData));
-        for (auto &level : base.levels)
-            for (auto &p : level)
-                if (coin(rng))
-                    p = Parallelism::kModel;
-        const std::size_t swept =
-            std::uniform_int_distribution<std::size_t>(
-                0, num_levels - 1)(rng);
-
-        // Naive oracle: substitute each mask and fully rescore.
-        std::vector<double> expected(std::size_t{1} << net.size());
-        core::sweepLevelMasks(
-            base, swept,
-            [&](std::uint64_t mask, const core::HierarchicalPlan &plan) {
-                expected[mask] = model.planBytes(plan);
-            });
-
-        std::size_t visited = 0;
-        core::sweepLevelBytes(
-            model, base, swept,
-            [&](std::uint64_t mask, double bytes) {
-                EXPECT_EQ(bytes, expected[mask])
-                    << "trial " << trial << " mask " << mask;
-                ++visited;
-            });
-        EXPECT_EQ(visited, expected.size()) << "trial " << trial;
+        if (net.size() * h > 20)
+            continue;
+        const auto brute = core::bruteForceHierarchical(model, h);
+        EXPECT_DOUBLE_EQ(ref.commBytes, brute.commBytes)
+            << "trial " << trial << " L=" << net.size() << " H=" << h;
     }
 }

@@ -523,6 +523,16 @@ struct PlanResponse
     }
 };
 
+/** Number of stored plan entries in a cache directory. */
+std::size_t
+cacheFiles(const fs::path &dir)
+{
+    std::size_t entries = 0;
+    for (const auto &e : fs::directory_iterator(dir))
+        entries += e.path().extension() == ".json" ? 1u : 0u;
+    return entries;
+}
+
 } // namespace
 
 TEST(Server, WarmCachePlanIsBitIdenticalToColdSearchAcrossEngines)
@@ -920,7 +930,7 @@ TEST(Server, ErrorResponsesEchoTheOpWhenItParsed)
 TEST(Server, EngineAliasesShareOnePlanHashAndCacheEntry)
 {
     // "sparse" and "beam" parse as A*, and the plan key holds the
-    // parsed engine, so all three names are one search: one key, one
+    // engine that runs, so all three names are one search: one key, one
     // stored entry, and the aliases hit it.
     TempDir tmp("serve_alias_key");
     serve::ServeOptions opts;
@@ -948,11 +958,59 @@ TEST(Server, EngineAliasesShareOnePlanHashAndCacheEntry)
         EXPECT_EQ(r.transitions, first->transitions) << engine;
     }
     EXPECT_EQ(server.cache().stats().stores, 1u);
+    EXPECT_EQ(cacheFiles(tmp.path), 1u);
+}
 
-    std::size_t entries = 0;
-    for (const auto &e : fs::directory_iterator(tmp.path))
-        entries += e.path().extension() == ".json" ? 1u : 0u;
-    EXPECT_EQ(entries, 1u);
+TEST(Server, AutoEngineSharesTheEntryOfTheEngineItRuns)
+{
+    // Past the dense ceiling "auto" runs A*, so an auto and an astar
+    // request are one search: one miss, one hit, one stored entry.
+    TempDir tmp("serve_auto_astar");
+    serve::ServeOptions opts;
+    opts.cacheDir = tmp.path;
+    serve::Server server(opts);
+
+    const std::string prefix =
+        R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)"
+        R"("levels":12)";
+    const PlanResponse autoRun =
+        PlanResponse::parse(runBatch(server, {prefix + "}"}).at(0));
+    const PlanResponse astar = PlanResponse::parse(
+        runBatch(server, {prefix + R"(,"engine":"astar"})"}).at(0));
+    EXPECT_EQ(autoRun.cacheOutcome, "miss");
+    EXPECT_EQ(astar.cacheOutcome, "hit");
+    EXPECT_EQ(astar.planHash, autoRun.planHash);
+    EXPECT_EQ(astar.planBits, autoRun.planBits);
+    EXPECT_EQ(astar.commBytes, autoRun.commBytes);
+    EXPECT_EQ(server.cache().stats().stores, 1u);
+    EXPECT_EQ(cacheFiles(tmp.path), 1u);
+}
+
+TEST(Server, PlanHashKeysOnlyTheEngineThatRuns)
+{
+    serve::ServeOptions opts;
+    opts.noCache = true;
+    serve::Server server(opts);
+    auto hashOf = [&](const std::string &line) {
+        return PlanResponse::parse(runBatch(server, {line}).at(0))
+            .planHash;
+    };
+
+    // Up to H = 10 "auto" runs the dense DP: one key with "dense".
+    const std::string optimal =
+        R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)"
+        R"("levels":4)";
+    EXPECT_EQ(hashOf(optimal + "}"),
+              hashOf(optimal + R"(,"engine":"dense"})"));
+    EXPECT_NE(hashOf(optimal + "}"),
+              hashOf(optimal + R"(,"engine":"astar"})"));
+
+    // No engine runs for Algorithm 2, so naming one cannot fork it.
+    const std::string hypar =
+        R"({"op":"plan","model":"Lenet-c","strategy":"hypar",)"
+        R"("levels":4)";
+    EXPECT_EQ(hashOf(hypar + "}"),
+              hashOf(hypar + R"(,"engine":"astar"})"));
 }
 
 TEST(Server, DeprecatedBeamFieldsAreValidatedThenIgnored)
@@ -1015,6 +1073,39 @@ TEST(Server, DeeplyNestedLineAnswersInBandAndServingContinues)
               std::string::npos)
         << responses[0];
     EXPECT_TRUE(serve::JsonValue::parse(responses[1]).find("ok")->asBool());
+}
+
+TEST(Server, OversizedStepsAnswerInBandAndServingContinues)
+{
+    // The steady-state replay is linear in steps, so a huge count
+    // would hold the server for minutes; past the cap it is an
+    // ordinary in-band error and the next line is served.
+    serve::ServeOptions opts;
+    opts.noCache = true;
+    serve::Server server(opts);
+
+    const std::string cap = std::to_string(serve::kMaxEvaluateSteps);
+    std::istringstream in(
+        R"({"op":"evaluate","model":"Lenet-c","steps":1000000000})" "\n"
+        R"({"op":"evaluate","model":"Lenet-c","steps":)" + cap + "}\n");
+    std::ostringstream out;
+    EXPECT_EQ(server.run(in, out), 0);
+
+    std::vector<std::string> responses;
+    std::istringstream lines(out.str());
+    std::string line;
+    while (std::getline(lines, line))
+        responses.push_back(line);
+    ASSERT_EQ(responses.size(), 2u);
+    const serve::JsonValue error = serve::JsonValue::parse(responses[0]);
+    EXPECT_FALSE(error.find("ok")->asBool());
+    EXPECT_NE(error.find("error")->asString().find("steps"),
+              std::string::npos)
+        << responses[0];
+    const serve::JsonValue served = serve::JsonValue::parse(responses[1]);
+    EXPECT_TRUE(served.find("ok")->asBool()) << responses[1];
+    EXPECT_EQ(served.find("steps")->asNumber(),
+              static_cast<double>(serve::kMaxEvaluateSteps));
 }
 
 TEST(Server, RejectedRequestsNeverTouchTheSessionRegistry)
@@ -1214,17 +1305,17 @@ TEST(Canonical, ChainHashesArePinnedAcrossTheDagGeneralization)
     // keys must never move — a warm session registry filled by a
     // pre-DAG build keeps hitting. If the first expectation fails,
     // kCanonicalVersion was effectively broken for every deployment.
-    // The plan hash was last re-pinned when the beam_width and
-    // adaptive_beam lines left the key text (kPlanCacheVersion 3); it
-    // moves only with the cache version.
+    // The plan hash was last re-pinned when the engine line became
+    // the engine that runs, written for "optimal" only
+    // (kPlanCacheVersion 4); it moves only with the cache version.
     const dnn::Network net = dnn::makeLenetC();
     const sim::SimConfig cfg;
     EXPECT_EQ(serve::contextHash(net, cfg),
               "6aacb02bd566f49eea451ce9e7ab0723"
               "e7183076aa4f0a0fd0e21f9a1db2fad9");
     EXPECT_EQ(serve::planHash(net, cfg, "optimal", core::SearchOptions{}),
-              "05a987c188b85e1911d8410a66b35ebe"
-              "4f28b2ddd04d92151184ecfa9e1d4cc8");
+              "ad3c4f34a249ab7b2fbfb53ed5445ee1"
+              "c0802d8a80581623bca752eb15c12877");
 }
 
 TEST(Canonical, DagEdgeOrderDoesNotForkTheKey)

@@ -2,7 +2,7 @@
  * @file
  * The library-wide deterministic tie-breaking rule (core/tie_break.hh):
  * on exact cost ties every search prefers the dp-heavier candidate, and
- * all engines — Algorithm 1, the joint DP, the Gray-code enumerator —
+ * all engines — Algorithm 1, the joint DP, the flat enumerator —
  * agree with each other and with themselves across repeated runs and
  * thread schedules.
  */

@@ -24,6 +24,11 @@ Checked reference kinds:
   * Every ``*.md`` path cited anywhere under src/, tests/ or bench/
     (comments, docstrings, printed messages) must exist, relative to
     the repo root or to the citing file.
+  * Benchmark row names (``BM_Foo``, ``BM_Foo/16``, the pair shorthand
+    ``BM_Foo[Reference]``) in the checked documents and in
+    tools/bench_baseline.json must exist in a bench/*.cc source, as a
+    ``BENCHMARK(BM_Foo)`` registration or as an emitted
+    ``"name":"BM_Foo...`` JSON row.
   * The serving contract: docs/SERVING.md's request-schema table
     (rows of the form ``| `field` | ...``) must match the
     kRequestFields whitelist in src/serve/server.hh exactly, in both
@@ -104,6 +109,32 @@ def check_serving_schema(errors):
             errors.append(
                 f"docs/SERVING.md: schema table documents '{field}' "
                 "but src/serve/server.hh does not accept it")
+
+
+def known_benchmarks():
+    """Row names bench/*.cc defines, as one regex: BENCHMARK(BM_x)
+    registrations plus the "name":"BM_x/..." rows the serve benches
+    print themselves (printf placeholders match any word)."""
+    names = set()
+    for path in sorted(ROOT.glob("bench/*.cc")):
+        text = path.read_text(encoding="utf-8")
+        names |= {re.escape(n)
+                  for n in re.findall(r"BENCHMARK\((BM_\w+)\)", text)}
+        for row in re.findall(r'\\?"name\\?":\\?"(BM_[^"\\/,]+)', text):
+            names.add(re.sub(r"%[a-z]+", r"\\w+", re.escape(row)))
+    return re.compile("|".join(sorted(names)) or "(?!)")
+
+
+def check_benchmark_names(errors):
+    """Every BM_* row a document or the bench gate names must exist."""
+    known = known_benchmarks()
+    for doc in DOCS + ["tools/bench_baseline.json"]:
+        for name, pair in re.findall(r"\b(BM_\w+)(\[Reference\])?",
+                                     read(doc)):
+            for row in [name] + ([name + "Reference"] if pair else []):
+                if not known.fullmatch(row):
+                    errors.append(f"{doc}: benchmark '{row}' is not "
+                                  "defined in any bench/*.cc source")
 
 
 def check_cited_markdown(errors):
@@ -236,6 +267,7 @@ def main():
             errors.append(f"{doc}: file '{token}' does not exist")
 
     check_serving_schema(errors)
+    check_benchmark_names(errors)
     check_cited_markdown(errors)
 
     if errors:

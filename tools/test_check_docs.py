@@ -13,7 +13,8 @@ in the specific ways the gate promises to catch and asserts it FAILS:
     src/serve/server.hh while docs/SERVING.md still documents it, and
     the reverse (a schema row deleted from SERVING.md while the
     server still parses the field);
-  * a source file citing a markdown document that does not exist.
+  * a source file citing a markdown document that does not exist;
+  * a document or the bench gate naming a BM_* row no bench defines.
 
 Registered with ctest as ``test_check_docs``; runnable directly.
 """
@@ -137,6 +138,32 @@ class CheckDocsGate(unittest.TestCase):
         res = run_check(self.root)
         self.assertNotEqual(res.returncode, 0)
         self.assertIn("bench_nonexistent_figure", res.stderr)
+
+    def test_stale_benchmark_name_fails(self):
+        # A row dropped from the micro bench while the docs quote it,
+        # once directly and once through the [Reference] pair shorthand.
+        edit(self.root / "bench" / "bench_partitioner_micro.cc",
+             r"^BENCHMARK\(BM_HyparFullSearchZooReference\);\n", "")
+        readme = self.root / "tools" / "README.md"
+        readme.write_text(
+            readme.read_text(encoding="utf-8") +
+            "\nSee `BM_HyparFullSearchZoo[Reference]`.\n",
+            encoding="utf-8")
+        res = run_check(self.root)
+        self.assertNotEqual(res.returncode, 0)
+        self.assertIn("benchmark 'BM_HyparFullSearchZooReference'",
+                      res.stderr)
+        # Its surviving sibling is not flagged.
+        self.assertNotIn("'BM_HyparFullSearchZoo'", res.stderr)
+
+    def test_stale_bench_gate_row_fails(self):
+        # The CI perf gate names a row that no bench emits.
+        edit(self.root / "tools" / "bench_baseline.json",
+             r"BM_ServeConcurrent/8", "BM_ServeConcurrently/8")
+        res = run_check(self.root)
+        self.assertNotEqual(res.returncode, 0)
+        self.assertIn("tools/bench_baseline.json: benchmark "
+                      "'BM_ServeConcurrently'", res.stderr)
 
     def test_dangling_markdown_citation_in_source_fails(self):
         # A header comment pointing at a document nobody wrote.
