@@ -58,22 +58,20 @@ main()
                  "magnitude below DP's.\n";
 
     // Beyond the paper: search scalability past the old joint-DP
-    // ceiling. The greedy Algorithm 2 always scales, but only the
-    // wide engines can check it against the joint optimum at
-    // H = 12-16 (4,096-65,536 accelerators) — exact at every depth
-    // now that kAuto routes to A* above the dense wall.
+    // ceiling. The greedy Algorithm 2 always scales; the A* search
+    // checks it against the joint optimum at H = 12-16
+    // (4,096-65,536 accelerators), exact at every depth.
     bench::banner("Joint search past the H = 10 ceiling on VGG-A",
                   "extension");
     core::CommModel model(vgg_a, bench::paperConfig().comm);
     core::HierarchicalPartitioner greedy(model);
     core::OptimalPartitioner optimal(model);
     util::Table joint({"levels", "accelerators", "greedy comm",
-                       "joint-optimal comm", "engine", "exact",
-                       "search time"});
+                       "joint-optimal comm", "exact", "search time"});
     for (std::size_t levels : {10u, 12u, 14u, 16u}) {
         const auto g = greedy.partition(levels);
         const auto start = std::chrono::steady_clock::now();
-        const auto opt = optimal.partition(levels); // auto: dense/A*
+        const auto opt = optimal.partition(levels);
         const auto ms =
             std::chrono::duration_cast<std::chrono::milliseconds>(
                 std::chrono::steady_clock::now() - start)
@@ -82,18 +80,13 @@ main()
                       std::to_string(std::size_t{1} << levels),
                       util::formatBytes(g.commBytes),
                       util::formatBytes(opt.commBytes),
-                      core::resolveSearchEngine(
-                          core::SearchEngine::kAuto, levels) ==
-                              core::SearchEngine::kDense
-                          ? "dense"
-                          : "astar",
                       opt.stats.certifiedExact ? "certified" : "no",
                       std::to_string(ms) + " ms"});
     }
     joint.print(std::cout);
     std::cout << "\nThe joint optimum stays at or below the greedy "
-                 "total at every depth, and the A*\nengine keeps the "
-                 "search exact — certificate included — far past the "
-                 "dense 4^H wall.\n";
+                 "total at every depth, and the A*\nsearch stays "
+                 "exact — certificate included — far past the 4^H "
+                 "wall of exhaustion.\n";
     return 0;
 }

@@ -160,17 +160,14 @@ BM_OptimalPartitionReference(benchmark::State &state)
 void
 BM_OptimalPartitionAStar(benchmark::State &state)
 {
-    // The exact best-first engine under the admissible suffix bound,
-    // at depths the dense DP cannot touch. Bit-identical results to
-    // the dense DP wherever both run.
+    // The same A* search as BM_OptimalPartition at depths where the
+    // serial reference DP is too slow to pair with it.
     const auto levels = static_cast<std::size_t>(state.range(0));
     dnn::Network net = deepNet(12);
     core::CommModel model(net, core::CommConfig{});
     core::OptimalPartitioner partitioner(model);
-    core::SearchOptions opts;
-    opts.engine = core::SearchEngine::kAStar;
     for (auto _ : state) {
-        auto result = partitioner.partition(levels, opts);
+        auto result = partitioner.partition(levels);
         benchmark::DoNotOptimize(result.commBytes);
     }
     state.SetComplexityN(state.range(0));
@@ -188,10 +185,8 @@ BM_OptimalPartitionAStarVggE(benchmark::State &state)
     dnn::Network net = dnn::makeVggE();
     core::CommModel model(net, core::CommConfig{});
     core::OptimalPartitioner partitioner(model);
-    core::SearchOptions opts;
-    opts.engine = core::SearchEngine::kAStar;
     for (auto _ : state) {
-        auto result = partitioner.partition(levels, opts);
+        auto result = partitioner.partition(levels);
         benchmark::DoNotOptimize(result.commBytes);
     }
 }
@@ -215,12 +210,12 @@ BM_OptimalPartitionResNetBlock(benchmark::State &state)
 }
 
 /** Shared state for the kernel-level SIMD rows: the H-deep factored
- *  expansion cascade plus the dense and incumbent-beam scan inputs,
- *  filled with deterministic values. */
+ *  expansion cascade plus the incumbent-beam relax inputs, filled
+ *  with deterministic values. */
 struct SimdBenchData {
     explicit SimdBenchData(unsigned levels)
         : h(levels), n(std::size_t{1} << levels), trans(n), cost(n),
-          best(n), prev(n), pcnt(n), rows0(levels), rows1(levels)
+          best(n), pcnt(n), rows0(levels), rows1(levels)
     {
         for (std::size_t i = 0; i < n; ++i) {
             cost[i] = static_cast<double>((i * 37) % 1013) * 0.25;
@@ -238,8 +233,8 @@ struct SimdBenchData {
     }
 
     /** One full expansion: all 2^h transition sums from the factored
-     *  rows — exactly the per-(layer, predecessor) work of the dense
-     *  engine and A*'s incumbent beam pass. */
+     *  rows — exactly the per-(layer, predecessor) work of A*'s
+     *  incumbent beam pass. */
     void expand(const core::simd::Kernels &k)
     {
         trans[0] = 0.0;
@@ -252,7 +247,6 @@ struct SimdBenchData {
     unsigned h;
     std::size_t n;
     std::vector<double> trans, cost, best;
-    std::vector<std::uint32_t> prev;
     std::vector<std::uint8_t> pcnt;
     std::vector<std::vector<double>> rows0, rows1;
 };
@@ -268,32 +262,17 @@ simdExpandLevelRun(benchmark::State &state, const core::simd::Kernels &k)
 }
 
 void
-simdArgminAddRun(benchmark::State &state, const core::simd::Kernels &k)
-{
-    SimdBenchData d(static_cast<unsigned>(state.range(0)));
-    d.expand(core::simd::scalarKernels());
-    for (auto _ : state) {
-        double min = 0.0;
-        std::uint32_t p =
-            k.argminAdd(d.cost.data(), d.trans.data(), d.n, &min);
-        benchmark::DoNotOptimize(p);
-        benchmark::DoNotOptimize(min);
-    }
-}
-
-void
 simdRelaxRowRun(benchmark::State &state, const core::simd::Kernels &k)
 {
     SimdBenchData d(static_cast<unsigned>(state.range(0)));
     d.expand(core::simd::scalarKernels());
-    // A beam-pass-shaped workload: 16 predecessors relaxed in
-    // ascending order into one (best, prev) row. After the first
-    // iteration the row is saturated and the scan is compare-dominated
-    // — the steady-state shape of a wide frontier.
+    // A beam-pass-shaped workload: 16 predecessors relaxed into one
+    // best row. After the first iteration the row is saturated and
+    // the scan is compare-dominated — the steady-state shape of a
+    // wide frontier.
     for (auto _ : state) {
-        for (std::uint32_t p = 0; p < 16; ++p)
-            k.relaxRow(d.best.data(), d.prev.data(), d.trans.data(),
-                       d.cost[p], p, d.n);
+        for (std::size_t p = 0; p < 16; ++p)
+            k.relaxRow(d.best.data(), d.trans.data(), d.cost[p], d.n);
         benchmark::DoNotOptimize(d.best[d.n - 1]);
     }
 }
@@ -318,22 +297,6 @@ void
 BM_SimdExpandLevelReference(benchmark::State &state)
 {
     simdExpandLevelRun(state, core::simd::scalarKernels());
-}
-
-void
-BM_SimdArgminAdd(benchmark::State &state)
-{
-    if (!core::simd::avx2Available()) {
-        state.SkipWithError("AVX2 unavailable on this host");
-        return;
-    }
-    simdArgminAddRun(state, core::simd::avx2Kernels());
-}
-
-void
-BM_SimdArgminAddReference(benchmark::State &state)
-{
-    simdArgminAddRun(state, core::simd::scalarKernels());
 }
 
 void
@@ -381,11 +344,11 @@ BENCHMARK(BM_HyparFullSearchZooReference);
 // speedup at 1x.
 BENCHMARK(BM_OptimalPartition)->DenseRange(4, 6, 2);
 BENCHMARK(BM_OptimalPartitionReference)->DenseRange(4, 6, 2);
-// The exact A* engine from the dense ceiling to depths the dense DP
-// cannot reach at all.
+// The A* search from H = 10 to depths the exhaustive 4^H DP cannot
+// reach at all.
 BENCHMARK(BM_OptimalPartitionAStar)->DenseRange(10, 14, 2);
-// The DAG path next to its chain siblings (same H sweep as the dense
-// rows).
+// The DAG path next to its chain siblings (same H sweep as
+// BM_OptimalPartition).
 BENCHMARK(BM_OptimalPartitionResNetBlock)->DenseRange(4, 6, 2);
 // The gated headline row: one exact solve per run keeps the JSON
 // target's wall clock bounded (a solve is seconds, not micros), and
@@ -397,8 +360,6 @@ BENCHMARK(BM_OptimalPartitionAStarVggE)
 // The SIMD lever at the headline table width (2^16 doubles).
 BENCHMARK(BM_SimdExpandLevel)->Arg(16);
 BENCHMARK(BM_SimdExpandLevelReference)->Arg(16);
-BENCHMARK(BM_SimdArgminAdd)->Arg(16);
-BENCHMARK(BM_SimdArgminAddReference)->Arg(16);
 BENCHMARK(BM_SimdRelaxRow)->Arg(16);
 BENCHMARK(BM_SimdRelaxRowReference)->Arg(16);
 BENCHMARK(BM_CommModelPlanBytes);

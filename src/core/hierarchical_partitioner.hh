@@ -22,33 +22,34 @@
 namespace hypar::core {
 
 /**
- * Per-search diagnostics of a joint-DP engine (OptimalPartitioner).
+ * Per-search diagnostics of the joint search (OptimalPartitioner).
  *
- * `expanded` counts (layer, state) DP nodes the engine computed and
+ * `expanded` counts (layer, state) DP nodes the search computed and
  * kept as live predecessors for the next layer. `pruned` counts the
- * nodes the A* bound `g + h > incumbent` proved useless; the dense and
- * reference engines skip nothing, so their pruned count is genuinely
- * zero. `widthUsed` is the per-layer frontier the engine actually
- * worked with: the largest per-layer live set for A*, the full 2^H
- * for the exhaustive engines. `HierarchicalResult::transitionsEvaluated`
- * is A*'s whole work bill, its incumbent beam pass included.
+ * nodes the A* bound `g + h > incumbent` proved useless; the
+ * exhaustive reference DP skips nothing, so its pruned count is
+ * genuinely zero. `widthUsed` is the per-layer frontier the search
+ * actually worked with: the largest per-layer live set for A*, the
+ * full 2^H for the reference DP.
+ * `HierarchicalResult::transitionsEvaluated` is A*'s whole work bill,
+ * its incumbent beam pass included, and the reference's 4^H * (L-1).
  *
  * `certifiedExact` is a machine-checked optimality certificate: true
- * only when the engine *proved* its plan is the exact joint optimum —
- * bit-identical, cost and plan, to the dense DP. Both engines always
- * certify (see optimal_partitioner.hh for the admissibility argument).
- * False means "no certificate", not "wrong": searches that don't
- * certify (greedy Algorithm 2) leave the default-constructed value in
- * place.
+ * only when the search *proved* its plan is the exact joint optimum —
+ * bit-identical, cost and plan, to the exhaustive DP. The joint search
+ * always certifies (see optimal_partitioner.hh for the admissibility
+ * argument). False means "no certificate", not "wrong": searches that
+ * don't certify (greedy Algorithm 2) leave the default-constructed
+ * value in place.
  *
- * All four fields are deterministic for a given model, engine, and
- * options — independent of thread count — so tests can assert on them.
+ * All four fields are deterministic for a given model and depth —
+ * independent of thread count — so tests can assert on them.
  */
 struct SearchStats
 {
     std::uint64_t expanded = 0; //!< DP nodes computed and kept
     std::uint64_t pruned = 0;   //!< DP nodes eliminated by the bound
-    bool certifiedExact = false; //!< proven equal to the dense DP
+    bool certifiedExact = false; //!< proven equal to the exhaustive DP
     std::size_t widthUsed = 0;   //!< per-layer frontier actually used
 };
 
@@ -60,10 +61,11 @@ struct HierarchicalResult
     double commBytes = 0.0;
     /**
      * Transition relaxations the search evaluated — one candidate
-     * cost[p] + trans(p -> s) considered by a DP engine. 0 for searches
-     * that don't count (greedy Algorithm 2, the naive references).
-     * Deterministic for a given model and engine, so tests can assert
-     * how much work the A* engine actually skipped.
+     * cost[p] + trans(p -> s) considered by the joint DP (all
+     * 4^H * (L-1) of them for partitionReference). 0 for searches that
+     * don't count (greedy Algorithm 2).
+     * Deterministic for a given model and depth, so tests can assert
+     * how much work the A* search actually skipped.
      */
     std::uint64_t transitionsEvaluated = 0;
     /** Node-level search diagnostics + optimality certificate. */

@@ -19,7 +19,6 @@ namespace hypar::core {
 
 namespace {
 
-constexpr std::size_t kDenseMax = OptimalPartitioner::kDenseMaxLevels;
 constexpr std::size_t kMax = OptimalPartitioner::kMaxLevels;
 
 /**
@@ -159,7 +158,7 @@ targetRowMins(const InterTermTable &iterm, std::size_t levels)
 /**
  * pcol[p * levels + h]: column of state p in the level-h row of a
  * factored table — (p_h, dpAbove(p,h)) flattened. Shared by every
- * layer transition of the A* engine.
+ * layer transition of the A* search.
  */
 std::vector<std::uint16_t>
 buildPcol(std::size_t levels)
@@ -367,7 +366,7 @@ struct Incumbent
 
 /**
  * popcount(p) for every state, as the u8 side table the expandLevel
- * kernel indexes (a = h - pcnt[p]); built once per engine pass.
+ * kernel indexes (a = h - pcnt[p]); built once per beam pass.
  */
 std::vector<std::uint8_t>
 buildPcnt(std::uint32_t states)
@@ -433,8 +432,7 @@ beamPass(std::size_t levels, std::size_t num_layers,
         total_evaluated += static_cast<std::uint64_t>(fsize) * states;
 
         // Parallelize over frontier chunks: each chunk relaxes every
-        // target state into its own best array (relaxRow also tracks a
-        // predecessor, which the incumbent never reads), merged below.
+        // target state into its own best array, merged below.
         // A minimum is independent of how candidates are grouped, so
         // the merge is bit-identical for every chunk grid and thread
         // count.
@@ -445,20 +443,16 @@ beamPass(std::size_t levels, std::size_t num_layers,
             chunks,
             std::vector<double>(
                 states, std::numeric_limits<double>::infinity()));
-        std::vector<std::vector<std::uint32_t>> chunk_prev(
-            chunks, std::vector<std::uint32_t>(states, 0));
 
         pool.parallelFor(0, fsize, fgrain, [&](std::size_t f_begin,
                                                std::size_t f_end) {
             const std::size_t ci = f_begin / fgrain;
             std::vector<double> &best = chunk_best[ci];
-            std::vector<std::uint32_t> &prev = chunk_prev[ci];
             // trans[s] = interCost(l-1, p, s) for the chunk's current
             // predecessor p, built for all 2^H target states at once by
-            // expanding one level bit at a time — the mirror image of
-            // the dense engine's p-side expansion, with the additions
-            // in the same level-ascending order, so every transition
-            // sum is bit-identical to the dense DP's.
+            // expanding one level bit at a time, with the additions in
+            // interCost's level-ascending order, so every transition
+            // sum is bit-identical to the reference DP's.
             std::vector<double> trans(states);
             // tp[(h * 2 + sb) * (levels + 1) + b]: the (h, sb, b) table
             // entry at p's fixed column, gathered up front so the
@@ -487,8 +481,8 @@ beamPass(std::size_t levels, std::size_t num_layers,
                         static_cast<unsigned>(h));
                 }
 
-                kern.relaxRow(best.data(), prev.data(), trans.data(),
-                              cost[p], p, states);
+                kern.relaxRow(best.data(), trans.data(), cost[p],
+                              states);
             }
         });
 
@@ -510,9 +504,8 @@ beamPass(std::size_t levels, std::size_t num_layers,
 
 /**
  * Final argmin over the last layer's costs (ascending s with strict <
- * == the dp-heavier tie-break) plus parent-chain plan reconstruction,
- * shared by every table engine. `parent` is the flat
- * [layer * states + state] predecessor table.
+ * == the dp-heavier tie-break) plus parent-chain plan reconstruction.
+ * `parent` is the flat [layer * states + state] predecessor table.
  */
 HierarchicalResult
 assemblePlan(std::size_t levels, std::size_t num_layers,
@@ -542,29 +535,6 @@ assemblePlan(std::size_t levels, std::size_t num_layers,
 }
 
 } // namespace
-
-SearchEngine
-searchEngineFromName(const std::string &name)
-{
-    if (name == "auto")
-        return SearchEngine::kAuto;
-    if (name == "dense")
-        return SearchEngine::kDense;
-    // "sparse" and "beam" name engines that were folded into A*; every
-    // engine is exact, so the alias returns the same plan.
-    if (name == "astar" || name == "sparse" || name == "beam")
-        return SearchEngine::kAStar;
-    util::fatal("unknown search engine '" + name +
-                "' (auto|dense|astar)");
-}
-
-SearchEngine
-resolveSearchEngine(SearchEngine engine, std::size_t levels)
-{
-    if (engine != SearchEngine::kAuto)
-        return engine;
-    return levels <= kDenseMax ? SearchEngine::kDense : SearchEngine::kAStar;
-}
 
 OptimalPartitioner::OptimalPartitioner(const CommModel &model)
     : model_(&model)
@@ -606,7 +576,7 @@ OptimalPartitioner::intraTable(std::size_t levels) const
     const std::size_t states = std::size_t{1} << levels;
     // Flat per-layer intra tables: intra[l * states + s], each entry
     // summed exactly as intraCost does (2^h pair weighting, level
-    // ascending) so every engine stays bit-identical to the reference.
+    // ascending) so the search stays bit-identical to the reference.
     std::vector<double> intra(num_layers * states);
     util::ThreadPool::global().parallelFor(
         0, num_layers * states, states,
@@ -620,126 +590,23 @@ OptimalPartitioner::intraTable(std::size_t levels) const
 }
 
 HierarchicalResult
-OptimalPartitioner::partition(std::size_t levels) const
-{
-    return partition(levels, SearchOptions{});
-}
-
-HierarchicalResult
 OptimalPartitioner::partition(std::size_t levels,
-                              const SearchOptions &options) const
+                              const SearchOptions & /*options*/) const
 {
-    const SearchEngine engine = resolveSearchEngine(options.engine, levels);
     // Non-chain networks route to the series-parallel decomposition
-    // search (core/series_parallel.hh); every engine stays exact there.
-    // Chains never enter it, so every historical chain result is
-    // produced by the exact same code as before.
+    // search (core/series_parallel.hh); chains never enter it.
     if (!model_->network().isChain())
-        return searchSeriesParallel(*model_, levels, engine);
-    switch (engine) {
-    case SearchEngine::kDense:
-        return partitionDense(levels);
-    case SearchEngine::kAStar:
-        return partitionAStar(levels);
-    case SearchEngine::kAuto:
-        break;
-    }
-    util::fatal("OptimalPartitioner: unresolved search engine");
-}
-
-HierarchicalResult
-OptimalPartitioner::partitionDense(std::size_t levels) const
-{
-    if (levels > kDenseMax)
-        util::fatal("OptimalPartitioner: 4^H transitions explode past "
-                    "H = 10 (use the astar engine)");
-
-    // Below H = 3 the factored table holds more entries than the DP has
-    // transitions, so the naive loop is cheaper. Results are identical.
-    if (levels <= 2)
-        return partitionReference(levels);
-
-    const std::size_t num_layers = model_->numLayers();
-    HYPAR_ASSERT(num_layers > 0, "partitioning an empty network");
-
-    const std::uint32_t states = 1u << levels;
-    auto &pool = util::ThreadPool::global();
-    // Fixed chunking => identical chunk grids (and thus identical
-    // per-state results) for every thread count; see thread_pool.hh.
-    const std::size_t grain = pool.grainFor(states);
-
-    const std::vector<double> intra = intraTable(levels);
-    const simd::Kernels &kern = simd::activeKernels();
-    const std::vector<std::uint8_t> pcnt = buildPcnt(states);
-
-    // Chain DP: cost[s] = best total with layer l in level vector s.
-    std::vector<double> cost(intra.begin(), intra.begin() + states);
-    std::vector<std::uint32_t> parent(num_layers * states, 0);
-
-    std::vector<double> next(states);
-    for (std::size_t l = 1; l < num_layers; ++l) {
-        // All inter terms of the l-1 -> l transition, keyed by level.
-        const InterTermTable iterm(*model_, l - 1, levels);
-        const double *intra_l = &intra[l * states];
-        std::uint32_t *parent_l = &parent[l * states];
-
-        pool.parallelFor(0, states, grain, [&](std::size_t s_begin,
-                                               std::size_t s_end) {
-            // trans[p] = interCost(l-1, p, s), built for all 2^H
-            // predecessor states at once by expanding one level bit at
-            // a time: after step h, trans[p_low] holds the partial sum
-            // of the first h terms for the length-h prefix p_low. The
-            // additions run in the same level-ascending order as
-            // interCost, keeping every partial sum bit-identical.
-            std::array<double, std::size_t{1} << kDenseMax> trans;
-            std::array<const double *, kDenseMax> rows;
-
-            for (std::size_t s = s_begin; s < s_end; ++s) {
-                const auto sv = static_cast<std::uint32_t>(s);
-                for (std::size_t h = 0; h < levels; ++h)
-                    rows[h] = iterm.rowAt(h, (sv >> h) & 1u,
-                                          dpAbove(sv, h));
-
-                trans[0] = 0.0;
-                for (std::size_t h = 0; h < levels; ++h) {
-                    const double *row = rows[h];
-                    const std::size_t half = std::size_t{1} << h;
-                    kern.expandLevel(trans.data(), half, row,
-                                     row + (levels + 1), pcnt.data(),
-                                     static_cast<unsigned>(h));
-                }
-
-                // argminAdd's ascending strict < implements the shared
-                // tie-break rule (core/tie_break.hh): dp-heavier
-                // predecessor wins exact ties.
-                double best;
-                const std::uint32_t best_prev = kern.argminAdd(
-                    cost.data(), trans.data(), states, &best);
-                next[s] = best + intra_l[s];
-                parent_l[s] = best_prev;
-            }
-        });
-        cost.swap(next);
-    }
-
-    HierarchicalResult result =
-        assemblePlan(levels, num_layers, states, cost, parent);
-    result.transitionsEvaluated = static_cast<std::uint64_t>(states) *
-                                  states * (num_layers - 1);
-    result.stats.expanded =
-        static_cast<std::uint64_t>(states) * num_layers;
-    result.stats.certifiedExact = true; // exhaustive
-    result.stats.widthUsed = states;
-    // pruned stays 0: the dense engine skips no transitions, so its
-    // dominance-skipped count is genuinely zero.
-    return result;
+        return searchSeriesParallel(*model_, levels);
+    return partitionAStar(levels);
 }
 
 HierarchicalResult
 OptimalPartitioner::partitionAStar(std::size_t levels) const
 {
     if (levels > kMax)
-        util::fatal("OptimalPartitioner: A* engine capped at H = 16");
+        util::fatal("OptimalPartitioner: A* search capped at H = 16");
+    // Below H = 3 the factored tables hold more entries than the DP has
+    // transitions, so the naive loop is cheaper. Results are identical.
     if (levels <= 2)
         return partitionReference(levels);
 
@@ -763,7 +630,7 @@ OptimalPartitioner::partitionAStar(std::size_t levels) const
     // it upper-bounds the optimum; after the (1 + slack) inflation,
     // `g + h > ub` proves no completion through the node can beat —
     // or exactly tie — the optimum, which is what keeps the surviving
-    // search bit-identical to the dense DP (header, "admissible
+    // search bit-identical to the exhaustive DP (header, "admissible
     // suffix bound").
     const Incumbent incumbent = beamPass(
         levels, num_layers,
@@ -1125,8 +992,8 @@ OptimalPartitioner::partitionAStar(std::size_t levels) const
                 // chain overshoots ub is a fixed prefix boundary —
                 // binary-search it with the *same* float expression
                 // the per-candidate break used. Cutting the scan there
-                // may leave this node's cost above its dense value,
-                // but never for a node on an optimal path (whose dense
+                // may leave this node's cost above its exhaustive value,
+                // but never for a node on an optimal path (whose exact
                 // argmin predecessor chain stays <= ub and therefore
                 // sits inside the prefix).
                 std::size_t blo = 0, bhi = navailC[pc_s];
@@ -1265,17 +1132,19 @@ OptimalPartitioner::partitionReference(std::size_t levels) const
         util::fatal("OptimalPartitioner: reference DP capped at H = 16");
 
     const std::size_t num_layers = model_->numLayers();
+    HYPAR_ASSERT(num_layers > 0, "partitioning an empty network");
+    const std::uint32_t states = 1u << levels;
     HierarchicalResult result;
     result.plan.levels.assign(levels,
                               LevelPlan(num_layers, Parallelism::kData));
     result.stats.certifiedExact = true; // exhaustive
-    result.stats.widthUsed = std::size_t{1} << levels;
-    result.stats.expanded =
-        static_cast<std::uint64_t>(result.stats.widthUsed) * num_layers;
+    result.stats.widthUsed = states;
+    result.stats.expanded = std::uint64_t{states} * num_layers;
+    result.transitionsEvaluated =
+        std::uint64_t{states} * states * (num_layers - 1);
     if (levels == 0)
         return result;
 
-    const std::uint32_t states = 1u << levels;
 
     std::vector<double> cost(states);
     std::vector<std::vector<std::uint32_t>> parent(

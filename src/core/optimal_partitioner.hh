@@ -17,40 +17,28 @@
  * standard chain DP over 2^H states per layer: O(L * 4^H) time — for
  * the paper's H = 4, a 256-state DP, exactly optimal.
  *
- * Engines (SearchEngine):
+ * The search (partition()) is exact best-first A* over that chain.
+ * It precomputes flat tables (intra[l][s] for all 2^H states, and the
+ * inter cost factored per level into terms keyed by (level, choice
+ * pair, producer dp counts), only O(H^3) entries per layer). A
+ * backward pass over the factored inter tables precomputes an
+ * admissible suffix bound h[l][s] <= the cheapest completion of
+ * layers l..L-1 from state s; a narrow beam pass (the
+ * kIncumbentBeamWidth best states of each layer by g + h, exhaustive
+ * up to H = 6) supplies an incumbent upper bound; then a
+ * layer-ordered expansion relaxes only states whose g + h does not
+ * exceed the incumbent, scanning predecessors best-first and cutting
+ * each scan with a per-target lower bound. The bound never prunes a
+ * state on an optimal path (see "The admissible suffix bound" below),
+ * so the plan is the exact optimum at every depth up to H = 16. At
+ * H <= 2 the factored tables outweigh the 4^H transitions and
+ * partition() runs partitionReference() instead.
  *
- *  - kDense — the table-driven exhaustive DP. Precomputes flat tables
- *    (intra[l][s] for all 2^H states, and the inter cost factored per
- *    level into terms keyed by (level, choice pair, producer dp
- *    counts), only O(H^3) entries per layer) and evaluates all 2^H
- *    transition costs into a state s with one in-place prefix expansion
- *    over the level bits. Exact; capped at H = 10 by the 4^H transition
- *    blow-up.
- *
- *  - kAStar — exact best-first search over the same chain. A backward
- *    pass over the factored inter tables precomputes an admissible
- *    suffix bound h[l][s] <= the cheapest completion of layers
- *    l..L-1 from state s; a narrow beam pass (the kIncumbentBeamWidth
- *    best states of each layer by g + h) supplies an incumbent upper
- *    bound; then a layer-ordered expansion relaxes only states whose
- *    g + h does not exceed the incumbent, scanning predecessors
- *    best-first and cutting each scan with a per-target lower bound.
- *    Exact and bit-identical to the dense DP at every depth (the
- *    bound never prunes a state on an optimal path — see "The
- *    admissible suffix bound" below). Reaches H = 16.
- *
- *  - kAuto (default) — dense up to H = 10 (bit-exact historical
- *    behaviour for every depth that was previously reachable), A*
- *    beyond: exact at every depth the library accepts.
- *
- * The retired engine names "sparse" and "beam" parse as kAStar
- * (searchEngineFromName), so old clients keep getting an exact plan.
- *
- * Every engine runs its per-state loops on util::ThreadPool with fixed
- * chunking (or order-independent total-order argmins), so results are
- * bit-identical for every thread count; both engines are also
- * bit-identical to partitionReference(), the original naive DP kept as
- * a test oracle.
+ * The per-state loops run on util::ThreadPool with fixed chunking (or
+ * order-independent total-order argmins), so results are
+ * bit-identical for every thread count, and bit-identical to
+ * partitionReference(), the naive O(L * 4^H * H) DP kept as the
+ * independent test oracle.
  *
  * ## The admissible suffix bound h[l][s]
  *
@@ -100,7 +88,7 @@
  * inside the slack, so a state is pruned only when its true float-semantics completion provably exceeds C.
  * Exact ties (g + h == C) are never pruned, which is what preserves
  * the shared tie-break rule and makes A* plans — not just costs —
- * bit-identical to the dense DP.
+ * bit-identical to the exhaustive DP.
  *
  * Used by the ablation harness to measure how much the greedy
  * hierarchical search leaves on the table (empirically: nothing for
@@ -111,7 +99,6 @@
 #define HYPAR_CORE_OPTIMAL_PARTITIONER_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/comm_model.hh"
@@ -120,40 +107,26 @@
 
 namespace hypar::core {
 
-/** Which transition engine OptimalPartitioner::partition runs. */
-enum class SearchEngine {
-    kAuto,  //!< dense up to H = 10, A* beyond (exact everywhere)
-    kDense, //!< exhaustive O(L * 4^H) table DP (exact, H <= 10)
-    kAStar, //!< exact best-first DP under the suffix bound (H <= 16)
-};
-
-/** Parse "auto" | "dense" | "astar"; the retired names "sparse" and
- *  "beam" are aliases of "astar". Fatal otherwise. */
-SearchEngine searchEngineFromName(const std::string &name);
-
-/** The engine partition() runs for `engine` at depth `levels`: kAuto
- *  resolves to kDense up to H = 10 and to kAStar beyond; an explicit
- *  engine is returned as is. */
-SearchEngine resolveSearchEngine(SearchEngine engine, std::size_t levels);
-
 /**
- * Tunables of the joint search. Every engine is exact, so the engine
- * choice changes only how fast the plan arrives (and the SearchStats
- * effort counters — see hierarchical_partitioner.hh).
+ * Options of the joint search. Empty today: the search has one exact
+ * engine and no tunables, so every caller passes `{}` (or nothing).
+ * A per-request budget would live here.
  */
 struct SearchOptions
-{
-    SearchEngine engine = SearchEngine::kAuto;
-};
+{};
 
 /** Exact minimum-communication partitioner over all level vectors. */
 class OptimalPartitioner
 {
   public:
-    /** Depth ceiling of the dense engine (4^H transition blow-up). */
+    /**
+     * H <= 10 / H > 10 split of perfbench's per-layer
+     * core.search_dense_ms and core.search_astar_ms rows. No library
+     * code reads it: partition() runs the same search at every depth.
+     */
     static constexpr std::size_t kDenseMaxLevels = 10;
 
-    /** Depth ceiling of the A* engine (and of kAuto). */
+    /** Depth ceiling of the search and of partitionReference(). */
     static constexpr std::size_t kMaxLevels = 16;
 
     /** Width of the internal beam pass that seeds the A* incumbent. */
@@ -162,23 +135,19 @@ class OptimalPartitioner
     explicit OptimalPartitioner(const CommModel &model);
 
     /**
-     * Optimal hierarchical plan for `levels` levels via the kAuto
-     * engine policy: the exact dense DP up to H = 10 (bit-identical to
-     * the historical behaviour), the A* engine beyond — exact at every
-     * accepted depth. Ties break toward the dp-heavier state
-     * (core/tie_break.hh). Fatal for levels > 16.
+     * Exact optimal hierarchical plan for `levels` levels (the A*
+     * search above; non-chain networks route to searchSeriesParallel).
+     * Ties break toward the dp-heavier state (core/tie_break.hh).
+     * Fatal for levels > 16.
      */
-    HierarchicalResult partition(std::size_t levels) const;
-
-    /** Same search with an explicit engine. */
     HierarchicalResult partition(std::size_t levels,
-                                 const SearchOptions &options) const;
+                                 const SearchOptions &options = {}) const;
 
     /**
      * The pre-optimization DP: per-transition intraCost/interCost
-     * calls, serial, O(L * 4^H * H). Bit-identical results to both
-     * engines; kept as the independent test oracle (past the dense
-     * ceiling too, on short chains) and benchmark baseline. Fatal for
+     * calls, serial, O(L * 4^H * H). Bit-identical results to
+     * partition(); kept as the independent test oracle and benchmark
+     * baseline. Evaluates all 4^H * (L-1) transitions. Fatal for
      * levels > 16.
      */
     HierarchicalResult partitionReference(std::size_t levels) const;
@@ -196,7 +165,6 @@ class OptimalPartitioner
                      std::uint32_t v_next, std::size_t levels) const;
 
   private:
-    HierarchicalResult partitionDense(std::size_t levels) const;
     HierarchicalResult partitionAStar(std::size_t levels) const;
 
     /** Flat intra[l * 2^levels + s] table, filled on the pool. */

@@ -101,8 +101,8 @@ LevelPlan levelPlanFromMask(std::uint64_t mask, std::size_t layers);
 /**
  * Write one layer's column of a plan from a level vector: bit h of
  * `state` selects mp at hierarchy level h for `layer`. This is the
- * joint-DP state decoding shared by every OptimalPartitioner engine's
- * plan reconstruction. Fatal if the plan has more than 64 levels or
+ * joint-DP state decoding shared by OptimalPartitioner's plan
+ * reconstructions. Fatal if the plan has more than 64 levels or
  * `layer` is out of range.
  */
 void assignLayerFromState(HierarchicalPlan &plan, std::size_t layer,

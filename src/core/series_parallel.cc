@@ -72,7 +72,7 @@ struct RedEdge
  * Run the TTSP reduction. Returns the root node index on success; on
  * failure returns SIZE_MAX and, when `reason` is non-null, describes a
  * stuck vertex. Reduction order is deterministic (lowest-index edge /
- * vertex first), so every engine sees the same tree.
+ * vertex first), so every search sees the same tree.
  */
 std::size_t
 decompose(const dnn::Network &network, std::vector<SpNode> &nodes,
@@ -191,7 +191,6 @@ struct SolveContext
     std::size_t levels;
     std::size_t states;
     std::size_t num_layers;
-    bool early_break; // A* series merge
     const std::vector<double> *intra; // [l * states + s]
     std::uint64_t transitions = 0;
     std::uint64_t pruned = 0;
@@ -242,7 +241,7 @@ solve(const std::vector<SpNode> &nodes, std::size_t node_idx,
             spPackLayerState(ctx.levels, ctx.num_layers, node.mid, x);
 
     // Per source state, the A-side part (A cost + middle intra) of
-    // every middle state, optionally sorted for the early-break scan.
+    // every middle state, sorted for the early-break scan.
     std::vector<double> apart(S);
     std::vector<std::size_t> order(S);
     for (std::size_t a = 0; a < S; ++a) {
@@ -250,20 +249,18 @@ solve(const std::vector<SpNode> &nodes, std::size_t node_idx,
             apart[x] = ta.cost[a * S + x] + mid_intra[x];
         for (std::size_t x = 0; x < S; ++x)
             order[x] = x;
-        if (ctx.early_break) {
-            std::sort(order.begin(), order.end(),
-                      [&](std::size_t lhs, std::size_t rhs) {
-                          if (apart[lhs] != apart[rhs])
-                              return apart[lhs] < apart[rhs];
-                          return lhs < rhs;
-                      });
-        }
+        std::sort(order.begin(), order.end(),
+                  [&](std::size_t lhs, std::size_t rhs) {
+                      if (apart[lhs] != apart[rhs])
+                          return apart[lhs] < apart[rhs];
+                      return lhs < rhs;
+                  });
         for (std::size_t b = 0; b < S; ++b) {
             double best = std::numeric_limits<double>::infinity();
             std::uint64_t best_key = 0;
             for (std::size_t i = 0; i < S; ++i) {
                 const std::size_t x = order[i];
-                if (ctx.early_break && apart[x] > best) {
+                if (apart[x] > best) {
                     // The B-side addend is >= 0 and rounding is
                     // monotone: fl(apart + b) >= apart > best, so no
                     // remaining candidate can win or tie.
@@ -300,13 +297,12 @@ isSeriesParallel(const dnn::Network &network, std::string *reason)
 }
 
 HierarchicalResult
-searchSeriesParallel(const CommModel &model, std::size_t levels,
-                     SearchEngine engine)
+searchSeriesParallel(const CommModel &model, std::size_t levels)
 {
     const dnn::Network &network = model.network();
     const std::size_t num_layers = model.numLayers();
     HYPAR_ASSERT(!network.isChain(),
-                 "chain networks use the chain engines");
+                 "chain networks use the chain search");
     if (levels > kSpMaxLevels) {
         util::fatal("series-parallel search capped at H = " +
                     std::to_string(kSpMaxLevels) + " (got " +
@@ -343,7 +339,6 @@ searchSeriesParallel(const CommModel &model, std::size_t levels,
     ctx.levels = levels;
     ctx.states = S;
     ctx.num_layers = num_layers;
-    ctx.early_break = engine == SearchEngine::kAStar;
     ctx.intra = &intra;
 
     const SpTable top = solve(nodes, root, ctx);

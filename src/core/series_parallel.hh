@@ -2,7 +2,7 @@
  * @file
  * Exact joint partition search over series-parallel DAG networks.
  *
- * Chain networks keep the original engines (optimal_partitioner.cc)
+ * Chain networks keep the chain search (optimal_partitioner.cc)
  * untouched; a network with isChain() == false routes here. The DAG
  * must be two-terminal series-parallel (TTSP) between layer 0 (the
  * source) and layer L-1 (the sink) — ResNet residual blocks and
@@ -53,15 +53,14 @@
  * precision, the per-branch (cost, key) minima compose to the global
  * lexicographic minimum, and the DP total equals planBytes() of the
  * returned plan bit-for-bit. The randomized differential suite
- * (tests/test_dag_differential.cc) pins both engines against the
- * flat enumeration oracle on both claims.
+ * (tests/test_dag_differential.cc) pins the search against the flat
+ * enumeration oracle on both claims.
  *
- * Engine mapping on DAGs: dense runs the full series merge; A* scans
- * middle states in ascending A-side order and stops
- * once that part alone exceeds the incumbent (admissible because the
- * B-side addend is non-negative and float rounding is monotone:
+ * The series merge scans middle states in ascending A-side order and
+ * stops once that part alone exceeds the incumbent (admissible because
+ * the B-side addend is non-negative and float rounding is monotone:
  * apart > best implies fl(apart + b) >= apart > best, so nothing
- * skipped could win or even tie). Both are exact and certify
+ * skipped could win or even tie). The search is exact and certifies
  * (SearchStats::certifiedExact), with widthUsed = 2^H.
  */
 
@@ -74,11 +73,10 @@
 
 #include "core/comm_model.hh"
 #include "core/hierarchical_partitioner.hh"
-#include "core/optimal_partitioner.hh"
 
 namespace hypar::core {
 
-/** Depth ceiling of the series-parallel engines: the S-node merge is
+/** Depth ceiling of the series-parallel search: the S-node merge is
  *  O(8^H) per interior layer, and 8 levels keep the packed key within
  *  64 bits for any network the oracle can check. */
 constexpr std::size_t kSpMaxLevels = 8;
@@ -133,8 +131,7 @@ bool isSeriesParallel(const dnn::Network &network,
  * levels > kSpMaxLevels, or levels * L > kSpMaxKeyBits.
  */
 HierarchicalResult searchSeriesParallel(const CommModel &model,
-                                        std::size_t levels,
-                                        SearchEngine engine);
+                                        std::size_t levels);
 
 } // namespace hypar::core
 

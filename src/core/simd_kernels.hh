@@ -3,29 +3,20 @@
  * Runtime-dispatched scalar/AVX2 kernel pairs for the partition
  * searches' contiguous inner loops.
  *
- * Three loop shapes dominate the table engines (ISSUE 8 / ROADMAP
+ * Two loop shapes dominate the A* search's table passes (ROADMAP
  * item 5): the level-bit expansion that materializes all 2^H
- * transition sums from one factored row pair, the dense engine's
- * predecessor argmin over cost[p] + trans[p], and the incumbent beam
- * pass's elementwise relax of one predecessor into a (best, prev) row
- * (the beam pass seeds A*). All
- * three are branch-light float reduces over contiguous tables — prime
- * AVX2 targets — while the A* predecessor scan stays scalar on
- * purpose: its candidate walk is data-dependent and gathers from
- * state-indexed tables, where Skylake-class gather throughput makes a
- * vector version break-even at best (measured; see
- * bench_partitioner_micro).
+ * transition sums from one factored row pair, and the incumbent beam
+ * pass's elementwise relax of one predecessor into a best row. Both
+ * are branch-light float loops over contiguous tables — prime AVX2
+ * targets — while the A* predecessor scan stays scalar on purpose:
+ * its candidate walk is data-dependent and gathers from state-indexed
+ * tables, where Skylake-class gather throughput makes a vector
+ * version break-even at best (measured; see bench_partitioner_micro).
  *
  * Bit-identity by construction: every vector kernel performs exactly
  * the additions and exactly the comparisons of its scalar twin — same
  * operands, same association order, same strict-< selection — so the
- * results are bit-identical, not merely close. The per-lane argmin
- * keeps the first (lowest-index) minimum per lane and the horizontal
- * merge is lexicographic in (value, index), which reproduces the
- * ascending strict-< scan's winner exactly; relaxRow keeps the
- * incumbent on exact ties, which equals the shared better() rule
- * whenever predecessors are relaxed in ascending order (beamPass
- * sorts its frontier, so they are). test_simd_kernels pins
+ * results are bit-identical, not merely close. test_simd_kernels pins
  * scalar-vs-AVX2 bit-equivalence across H = 1..16 including
  * non-multiple-of-lane tails, and runs under ASan/UBSan in CI.
  */
@@ -60,24 +51,12 @@ struct Kernels {
                         const std::uint8_t *pcnt, unsigned h);
 
     /**
-     * Argmin of cost[p] + trans[p] over p in [0, n) under the shared
-     * tie-break rule (ascending strict <: lowest index among exact
-     * minima). Writes the winning sum to *min_out and returns the
-     * winning p. n >= 1.
+     * Elementwise relax of one predecessor into a best row: for s in
+     * [0, n), when cost_p + trans[s] < best[s], set
+     * best[s] = cost_p + trans[s].
      */
-    std::uint32_t (*argminAdd)(const double *cost, const double *trans,
-                               std::size_t n, double *min_out);
-
-    /**
-     * Elementwise relax of predecessor p into a (best, prev) row:
-     * for s in [0, n), when cost_p + trans[s] < best[s], set
-     * best[s] = cost_p + trans[s] and prev[s] = p. Exact ties keep
-     * the incumbent — equal to better() iff callers relax
-     * predecessors in ascending p order.
-     */
-    void (*relaxRow)(double *best, std::uint32_t *prev,
-                     const double *trans, double cost_p,
-                     std::uint32_t p, std::size_t n);
+    void (*relaxRow)(double *best, const double *trans, double cost_p,
+                     std::size_t n);
 };
 
 /** The portable reference set; always valid. */

@@ -76,17 +76,6 @@ topologyKindName(sim::TopologyKind kind)
 }
 
 const char *
-searchEngineName(core::SearchEngine engine)
-{
-    switch (engine) {
-      case core::SearchEngine::kAuto: return "auto";
-      case core::SearchEngine::kDense: return "dense";
-      case core::SearchEngine::kAStar: return "astar";
-    }
-    util::fatal("unknown search engine");
-}
-
-const char *
 strategyName(core::Strategy strategy)
 {
     switch (strategy) {
@@ -164,18 +153,11 @@ std::string
 canonicalPlanRequest(const dnn::Network &network,
                      const sim::SimConfig &config,
                      const std::string &strategy,
-                     const core::SearchOptions &search)
+                     const core::SearchOptions & /*search*/)
 {
     std::string out = canonicalContext(network, config);
     out += "[plan]\n";
     appendKV(out, "strategy", strategy);
-    // The engine that actually runs: aliases parse to "astar" and
-    // "auto" resolves by depth, so requests that run the same search
-    // share one entry. No engine runs for the other strategies.
-    if (strategy == "optimal")
-        appendKV(out, "engine",
-                 std::string(searchEngineName(core::resolveSearchEngine(
-                     search.engine, config.levels))));
     return out;
 }
 

@@ -27,13 +27,10 @@
  *  - contextHash(network, config): identifies everything a warm
  *    sim::Evaluator depends on. The session registry keys on it.
  *  - planHash(network, config, strategy, search): contextHash's
- *    payload plus the strategy and core::SearchOptions. The on-disk
- *    plan cache keys on it, because the searched plan's SearchStats
- *    depend on the engine too. The engine is keyed as the one that
- *    runs (core::resolveSearchEngine): the alias names "sparse" and
- *    "beam" share the "astar" entry, "auto" shares the entry of the
- *    engine it resolves to at the request's depth, and strategies
- *    other than "optimal" carry no engine line at all.
+ *    payload plus the strategy. The on-disk plan cache keys on it.
+ *    core::SearchOptions holds no field today, so it adds nothing to
+ *    the key; the deprecated `engine` request field is not keyed
+ *    either, because every engine name runs the same search.
  *
  * sweepHash(network, config, strategy, search, level) extends the plan
  * payload with the swept hierarchy level; the on-disk sweep-result
@@ -60,11 +57,9 @@ std::string canonicalContext(const dnn::Network &network,
                              const sim::SimConfig &config);
 
 /**
- * Canonical text of one plan request (context + strategy + search).
+ * Canonical text of one plan request (context + strategy).
  * `strategy` is the canonical name: "hypar", "dp", "mp", "owt", or
- * "optimal" (the joint search — the one case where SearchOptions
- * actually steer the result; they are keyed for every strategy so
- * equal keys always mean equal requests).
+ * "optimal" (the joint search).
  */
 std::string canonicalPlanRequest(const dnn::Network &network,
                                  const sim::SimConfig &config,
@@ -97,9 +92,6 @@ std::string sweepHash(const dnn::Network &network,
 
 /** Canonical short name of a topology kind ("htree"/"torus"/"mesh"). */
 const char *topologyKindName(sim::TopologyKind kind);
-
-/** Canonical short name of a search engine ("auto"/"dense"/"astar"). */
-const char *searchEngineName(core::SearchEngine engine);
 
 /** Canonical short name of a strategy ("dp"/"mp"/"owt"/"hypar"). */
 const char *strategyName(core::Strategy strategy);

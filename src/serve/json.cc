@@ -2,7 +2,9 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 #include "util/logging.hh"
 
@@ -362,7 +364,14 @@ class JsonParser
         double value = 0.0;
         const auto [end, ec] = std::from_chars(
             text_.data() + start, text_.data() + pos_, value);
-        if (ec != std::errc{} || end != text_.data() + pos_) {
+        if (ec == std::errc::result_out_of_range) {
+            // Well-formed but past double's range: strtod rounds it to
+            // +-infinity or toward zero, and the field's own range
+            // check turns that into an error naming the field.
+            value = std::strtod(
+                std::string(text_.substr(start, pos_ - start)).c_str(),
+                nullptr);
+        } else if (ec != std::errc{} || end != text_.data() + pos_) {
             pos_ = start;
             fail("bad number");
         }
@@ -381,6 +390,12 @@ JsonValue
 JsonValue::parse(std::string_view text)
 {
     return JsonParser(text).parseDocument();
+}
+
+bool
+isCount(double d)
+{
+    return d >= 0.0 && d < 0x1p64 && d == std::floor(d);
 }
 
 std::string

@@ -7,7 +7,9 @@
  * request/response framing and the on-disk plan cache need: objects,
  * arrays, strings (with \uXXXX escapes decoded to UTF-8), numbers
  * (stored as double; the cache writes %.17g so doubles round-trip
- * bit-identically), booleans, and null. Parse errors raise
+ * bit-identically; a literal past double's range parses as +-infinity
+ * or rounds toward zero, so the consumer's range check answers it),
+ * booleans, and null. Parse errors raise
  * util::FatalError with a byte offset, so the server can turn a
  * malformed request line into an error *response* instead of dying.
  * Arrays and objects nested deeper than a fixed 64 levels are such an
@@ -79,6 +81,14 @@ class JsonValue
 
     friend class JsonParser;
 };
+
+/**
+ * True when `d` is a whole number in [0, 2^64): exactly the doubles
+ * that convert to std::uint64_t without undefined behaviour. Check it
+ * before the cast — a NaN, an infinity or a value past 2^64 cast to
+ * an integer is undefined.
+ */
+bool isCount(double d);
 
 /**
  * Escape a string for embedding between JSON double quotes: quotes,

@@ -48,7 +48,7 @@ std::uint64_t
 asCount(const JsonValue &v, const char *what)
 {
     const double d = v.asNumber();
-    if (d < 0 || d != static_cast<double>(static_cast<std::uint64_t>(d)))
+    if (!isCount(d))
         util::fatal(std::string("plan cache: ") + what +
                     " is not a non-negative integer");
     return static_cast<std::uint64_t>(d);

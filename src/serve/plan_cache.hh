@@ -56,10 +56,9 @@ namespace hypar::serve {
 
 /** On-disk format version; bump on any layout or plan-key change, so
  *  entries keyed under an older key text quarantine instead of
- *  lingering as unreachable stale files. Version 4: the plan key names
- *  the engine that runs ("auto" resolved by depth) and only for the
- *  "optimal" strategy. */
-inline constexpr int kPlanCacheVersion = 4;
+ *  lingering as unreachable stale files. Version 5: the plan key has
+ *  no engine line (one exact search answers every engine name). */
+inline constexpr int kPlanCacheVersion = 5;
 
 /** Format tag every plan entry must carry. */
 inline constexpr const char *kPlanCacheFormat = "hyparc-plan-cache";

@@ -43,7 +43,6 @@ struct Request
     std::size_t batch = 256;
     std::string topology = "htree";
     std::string strategy = "hypar";
-    std::string engine = "auto";
     bool overlap = false;
     arch::FaultMap faults;
     std::vector<std::string> planBits;
@@ -76,9 +75,9 @@ std::size_t
 asSize(const JsonValue &v, const char *what)
 {
     const double d = v.asNumber();
-    if (d < 0 || d != static_cast<double>(static_cast<std::size_t>(d)))
+    if (!isCount(d))
         util::fatal(std::string("request field '") + what +
-                    "' must be a non-negative integer");
+                    "' must be a non-negative integer below 2^64");
     return static_cast<std::size_t>(d);
 }
 
@@ -135,12 +134,7 @@ parseRequest(const std::string &line, Request &req)
     if (const JsonValue *v = root.find("strategy"))
         req.strategy = v->asString();
     if (const JsonValue *v = root.find("engine"))
-        req.engine = v->asString();
-    // Deprecated: the beam engine they tuned is gone. Still validated,
-    // so a client sending garbage hears about it, then ignored.
-    for (const char *field : {"beam_width", "width_hint"})
-        if (const JsonValue *v = root.find(field))
-            (void)asSize(*v, field);
+        validateEngineName(v->asString()); // deprecated, then ignored
     if (const JsonValue *v = root.find("overlap"))
         req.overlap = v->asBool();
     if (const JsonValue *v = root.find("faults")) {
@@ -206,14 +200,6 @@ buildConfig(const Request &req)
     return cfg;
 }
 
-core::SearchOptions
-buildSearch(const Request &req)
-{
-    core::SearchOptions search;
-    search.engine = core::searchEngineFromName(req.engine);
-    return search;
-}
-
 void
 validateStrategyName(const std::string &strategy)
 {
@@ -238,7 +224,7 @@ buildStrategyPlan(const Request &req, const core::CommModel &model,
         return core::makeOneWeirdTrickPlan(model.network(), req.levels);
     if (req.strategy == "optimal") {
         auto result = core::OptimalPartitioner(model).partition(
-            req.levels, buildSearch(req));
+            req.levels);
         if (search_out != nullptr)
             *search_out = result;
         return result.plan;
@@ -354,6 +340,16 @@ opIndex(const std::string &op)
 
 } // namespace
 
+void
+validateEngineName(const std::string &name)
+{
+    for (const char *known : kEngineNames)
+        if (name == known)
+            return;
+    util::fatal("unknown search engine '" + name +
+                "' (auto|dense|astar|sparse|beam)");
+}
+
 bool
 requestFieldKnown(const std::string &key)
 {
@@ -398,7 +394,6 @@ Server::processBatch(const std::vector<std::string> &lines,
             p.network = buildNetwork(p.req);
             p.config = buildConfig(p.req);
             validateStrategyName(p.req.strategy);
-            buildSearch(p.req); // rejects unknown engines
             sim::validateFaults(p.config);
             p.ctxHash = contextHash(*p.network, p.config);
             if (p.req.op == "evaluate") {
@@ -501,8 +496,7 @@ Server::processBatch(const std::vector<std::string> &lines,
             try {
                 if (p.req.op == "plan") {
                     const std::string hash =
-                        planHash(*p.network, p.config, p.req.strategy,
-                                 buildSearch(p.req));
+                        planHash(*p.network, p.config, p.req.strategy, {});
                     std::optional<core::HierarchicalResult> cached =
                         cache_.lookup(hash);
                     const char *outcome =
@@ -549,8 +543,8 @@ Server::processBatch(const std::vector<std::string> &lines,
                         ",\"metrics\":" + metricsJson(m) + "}";
                 } else if (p.req.op == "sweep") {
                     const std::string hash =
-                        sweepHash(*p.network, p.config, p.req.strategy,
-                                  buildSearch(p.req), p.req.level);
+                        sweepHash(*p.network, p.config, p.req.strategy, {},
+                                  p.req.level);
                     std::optional<SweepResult> cached =
                         cache_.lookupSweep(hash);
                     const char *outcome =

@@ -75,16 +75,25 @@ inline constexpr const char *kRequestFields[] = {
     "batch",     // mini-batch size (default 256)
     "topology",  // htree | torus | mesh (default htree)
     "strategy",  // hypar | dp | mp | owt | optimal (default hypar)
-    "engine",    // optimal: auto | dense | astar (sparse, beam: aliases
-                 //          of astar)
-    "beam_width", // deprecated: validated as a non-negative integer,
-    "width_hint", //             then ignored
+    "engine",    // deprecated: one of kEngineNames, then ignored
     "overlap",   // overlap gradient reductions (default false)
     "faults",    // {"nodes": [[id, scale]...], "links": [[id, scale]...]}
     "plan",      // evaluate: explicit plan, one bit string per level
     "level",     // sweep: hierarchy level whose layer masks to sweep
     "steps",     // evaluate: steady-state cadence over N steps
 };
+
+/**
+ * Names the deprecated `engine` request field and `hyparc --engine`
+ * flag still accept. One exact A* search answers every depth, so the
+ * value is checked against this list and then ignored.
+ * tools/check_docs.py checks documented `--engine` examples against it.
+ */
+inline constexpr const char *kEngineNames[] = {"auto", "dense", "astar",
+                                               "sparse", "beam"};
+
+/** Fatal unless `name` is one of kEngineNames. */
+void validateEngineName(const std::string &name);
 
 /** Largest accepted `steps` of an evaluate request. The steady-state
  *  replay is linear in steps: VGG-E at H = 4 with overlap takes about

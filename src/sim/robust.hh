@@ -14,8 +14,8 @@
  * lowest mean step time.
  *
  * Everything is deterministic for a fixed seed at any thread count:
- * the sampler is a hand-rolled splitmix64 stream, the search engines
- * are exact and deterministic, evaluateBatch is bit-identical to the
+ * the sampler is a hand-rolled splitmix64 stream, the joint search
+ * is exact and deterministic, evaluateBatch is bit-identical to the
  * sequential loop, and the mean runs in fixed sample order. Ties on
  * the expected cost break toward the earliest candidate (the pristine
  * plan is candidate 0, then sample order).
@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "arch/fault_map.hh"
-#include "core/optimal_partitioner.hh"
 #include "core/plan.hh"
 #include "sim/evaluator.hh"
 #include "util/thread_pool.hh"
@@ -47,9 +46,6 @@ struct RobustOptions
 
     /** Base seed; sample k uses arch::mixSeed(seed, k). */
     std::uint64_t seed = 0;
-
-    /** Search engine options for the per-sample exact re-planning. */
-    core::SearchOptions search;
 };
 
 /** One scored candidate plan. */

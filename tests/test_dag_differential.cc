@@ -3,8 +3,8 @@
  * Differential net for the DAG generalization. Three invariants:
  *
  *  1. *Randomized DAG exactness*: on seed-deterministic series-parallel
- *     DAGs (tests/support/sp_dag_gen.hh) both search engines must
- *     agree bit for bit — plans AND costs, EXPECT_EQ on doubles — with
+ *     DAGs (tests/support/sp_dag_gen.hh) the search must agree bit
+ *     for bit — plans AND costs, EXPECT_EQ on doubles — with
  *     the flat enumeration oracle (bruteForceHierarchical), and the DP
  *     total must equal planBytes of the returned plan exactly. The
  *     generator keeps every coefficient dyadic precisely so this can be
@@ -47,13 +47,8 @@
 using namespace hypar;
 using core::CommConfig;
 using core::CommModel;
-using core::SearchEngine;
-using core::SearchOptions;
 
 namespace {
-
-constexpr SearchEngine kEngines[] = {SearchEngine::kDense,
-                                     SearchEngine::kAStar};
 
 /** Rebuild a network through the DAG constructor with every chain edge
  *  spelled out explicitly. */
@@ -105,11 +100,11 @@ TEST(DagDifferential, GeneratorMakesSeriesParallelNonChains)
     }
 }
 
-TEST(DagDifferential, RandomizedDagEnginesMatchOracleBitForBit)
+TEST(DagDifferential, RandomizedDagSearchMatchesOracleBitForBit)
 {
-    // The acceptance bar: >= 25 randomized series-parallel DAGs, both
-    // engines bit-identical to the flat enumeration oracle in
-    // both plan and cost.
+    // The acceptance bar: >= 25 randomized series-parallel DAGs, the
+    // search bit-identical to the flat enumeration oracle in both plan
+    // and cost.
     for (std::uint64_t seed = 0; seed < 30; ++seed) {
         const dnn::Network net = tests::makeRandomSpDag(seed);
         // Deeper hierarchy on the smaller nets; capped at 21 plan bits
@@ -121,26 +116,19 @@ TEST(DagDifferential, RandomizedDagEnginesMatchOracleBitForBit)
         const core::OptimalPartitioner partitioner(model);
 
         const auto oracle = core::bruteForceHierarchical(model, h);
-        for (const SearchEngine engine : kEngines) {
-            SearchOptions opts;
-            opts.engine = engine;
-            const auto got = partitioner.partition(h, opts);
-            EXPECT_EQ(got.plan, oracle.plan)
-                << "seed " << seed << " engine " << (int)engine;
-            EXPECT_EQ(got.commBytes, oracle.commBytes)
-                << "seed " << seed << " engine " << (int)engine;
-            EXPECT_EQ(got.commBytes, model.planBytes(got.plan))
-                << "seed " << seed << " engine " << (int)engine;
-            EXPECT_TRUE(got.stats.certifiedExact)
-                << "seed " << seed << " engine " << (int)engine;
-        }
+        const auto got = partitioner.partition(h);
+        EXPECT_EQ(got.plan, oracle.plan) << "seed " << seed;
+        EXPECT_EQ(got.commBytes, oracle.commBytes) << "seed " << seed;
+        EXPECT_EQ(got.commBytes, model.planBytes(got.plan))
+            << "seed " << seed;
+        EXPECT_TRUE(got.stats.certifiedExact) << "seed " << seed;
     }
 }
 
 TEST(DagDifferential, ZooChainsAreBitIdenticalThroughDagApi)
 {
     // Rebuilding any paper chain through the DAG constructor must be
-    // a no-op: same wiring, same plans, same costs, for all engines.
+    // a no-op: same wiring, same plans, same costs.
     for (const dnn::Network &net : dnn::allModels()) {
         const dnn::Network dag = rebuildAsExplicitDag(net);
         EXPECT_TRUE(dag.isChain()) << net.name();
@@ -151,16 +139,10 @@ TEST(DagDifferential, ZooChainsAreBitIdenticalThroughDagApi)
         const CommModel b(dag, CommConfig{});
         const core::OptimalPartitioner pa(a);
         const core::OptimalPartitioner pb(b);
-        for (const SearchEngine engine : kEngines) {
-            SearchOptions opts;
-            opts.engine = engine;
-            const auto ra = pa.partition(3, opts);
-            const auto rb = pb.partition(3, opts);
-            EXPECT_EQ(ra.plan, rb.plan)
-                << net.name() << " engine " << (int)engine;
-            EXPECT_EQ(ra.commBytes, rb.commBytes)
-                << net.name() << " engine " << (int)engine;
-        }
+        const auto ra = pa.partition(3);
+        const auto rb = pb.partition(3);
+        EXPECT_EQ(ra.plan, rb.plan) << net.name();
+        EXPECT_EQ(ra.commBytes, rb.commBytes) << net.name();
     }
 }
 
@@ -216,15 +198,9 @@ TEST(DagDifferential, ZooDagFixturesSolveExactly)
         const CommModel model(net, CommConfig{});
         const core::OptimalPartitioner partitioner(model);
         const auto oracle = core::bruteForceHierarchical(model, h);
-        for (const SearchEngine engine : kEngines) {
-            SearchOptions opts;
-            opts.engine = engine;
-            const auto got = partitioner.partition(h, opts);
-            EXPECT_EQ(got.plan, oracle.plan)
-                << name << " engine " << (int)engine;
-            EXPECT_EQ(got.commBytes, oracle.commBytes)
-                << name << " engine " << (int)engine;
-        }
+        const auto got = partitioner.partition(h);
+        EXPECT_EQ(got.plan, oracle.plan) << name;
+        EXPECT_EQ(got.commBytes, oracle.commBytes) << name;
     }
 }
 

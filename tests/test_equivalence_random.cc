@@ -1,7 +1,7 @@
 /**
  * @file
- * Randomized equivalence tests for the table-driven search engines: the
- * optimized DP (OptimalPartitioner::partition, dense and A*) and the
+ * Randomized equivalence tests for the table-driven searches: the
+ * joint A* search (OptimalPartitioner::partition) and the
  * table-driven Algorithm 1 (PairwisePartitioner::partition) must return
  * *bit-identical* costs and plans to the naive seed implementations,
  * which are kept as *Reference oracles, and to the flat enumeration
@@ -58,7 +58,7 @@ randomNetwork(std::mt19937 &rng)
 
 /** Random chain of exactly `layers` weighted layers (an optional conv
  *  head, then fc layers): short enough for the naive O(L * 4^H * H)
- *  oracle past the dense ceiling. */
+ *  oracle past H = 10. */
 dnn::Network
 randomShortChain(std::mt19937 &rng, int layers)
 {
@@ -208,11 +208,11 @@ TEST(EquivalenceRandom, OptimalPartitionerMatchesReference)
     }
 }
 
-TEST(EquivalenceRandom, AStarEngineMatchesDenseDp)
+TEST(EquivalenceRandom, AStarMatchesReferenceAtDepths3To8)
 {
-    // The A* engine prunes against its admissible suffix bound and
-    // must still reproduce the dense DP bit for bit across random
-    // networks, depths up to the dense ceiling, and model configs.
+    // A* prunes against its admissible suffix bound and must still
+    // reproduce the exhaustive reference DP bit for bit across random
+    // networks, depths past its H <= 2 hand-off, and model configs.
     std::mt19937 rng(606);
     std::uniform_int_distribution<std::size_t> levels(3, 8);
     for (int trial = 0; trial < 60; ++trial) {
@@ -221,33 +221,28 @@ TEST(EquivalenceRandom, AStarEngineMatchesDenseDp)
         const core::OptimalPartitioner partitioner(model);
 
         const std::size_t h = levels(rng);
-        const auto dense = partitioner.partition(h);
-
-        core::SearchOptions astar;
-        astar.engine = core::SearchEngine::kAStar;
-        const auto as = partitioner.partition(h, astar);
-        EXPECT_EQ(as.commBytes, dense.commBytes)
+        const auto ref = partitioner.partitionReference(h);
+        const auto as = partitioner.partition(h);
+        EXPECT_EQ(as.commBytes, ref.commBytes)
             << "trial " << trial << " H=" << h;
-        EXPECT_EQ(as.plan, dense.plan) << "trial " << trial << " H=" << h;
+        EXPECT_EQ(as.plan, ref.plan) << "trial " << trial << " H=" << h;
         EXPECT_TRUE(as.stats.certifiedExact)
             << "trial " << trial << " H=" << h;
     }
 }
 
-TEST(EquivalenceRandom, AStarMatchesReferencePastTheDenseCeiling)
+TEST(EquivalenceRandom, AStarMatchesReferencePastH10)
 {
-    // Above H = 10 the dense engine is gone; the naive joint DP, which
-    // shares no table, bound or scan with A*, stands in. It costs
-    // O(L * 4^H * H), so the chains stay short.
+    // Above H = 10 too, the naive joint DP, which shares no table,
+    // bound or scan with A*, is the oracle. It costs O(L * 4^H * H),
+    // so the chains stay short.
     std::mt19937 rng(909);
     for (const int layers : {2, 3, 4}) {
         const dnn::Network net = randomShortChain(rng, layers);
         const CommModel model(net, randomConfig(rng));
         const core::OptimalPartitioner partitioner(model);
 
-        core::SearchOptions astar;
-        astar.engine = core::SearchEngine::kAStar;
-        const auto as = partitioner.partition(11, astar);
+        const auto as = partitioner.partition(11);
         const auto ref = partitioner.partitionReference(11);
         EXPECT_EQ(as.commBytes, ref.commBytes) << "L=" << layers;
         EXPECT_EQ(as.plan, ref.plan) << "L=" << layers;
@@ -257,9 +252,9 @@ TEST(EquivalenceRandom, AStarMatchesReferencePastTheDenseCeiling)
 
 TEST(EquivalenceRandom, JointDpMatchesReferenceAndFlatOracle)
 {
-    // Both engines of the joint DP agree bit for bit with the naive
-    // reference DP at H = 2-3 on networks big enough to exercise real
-    // pruning, and with exhaustive enumeration where the flat oracle
+    // The joint search agrees bit for bit with the naive reference DP
+    // at H = 2-3 on networks big enough to exercise real pruning, and
+    // the reference with exhaustive enumeration where the flat oracle
     // stays cheap (it rescores (2^L)^H plans, ~0.4 s at 21 plan bits).
     std::mt19937 rng(808);
     for (int trial = 0; trial < 25; ++trial) {
@@ -269,18 +264,11 @@ TEST(EquivalenceRandom, JointDpMatchesReferenceAndFlatOracle)
 
         const std::size_t h = net.size() <= 8 ? 3 : 2;
         const auto ref = partitioner.partitionReference(h);
-        for (auto engine :
-             {core::SearchEngine::kDense, core::SearchEngine::kAStar}) {
-            core::SearchOptions opts;
-            opts.engine = engine;
-            const auto exact = partitioner.partition(h, opts);
-            EXPECT_EQ(exact.commBytes, ref.commBytes)
-                << "trial " << trial << " L=" << net.size() << " H=" << h
-                << " engine=" << static_cast<int>(engine);
-            EXPECT_EQ(exact.plan, ref.plan)
-                << "trial " << trial << " L=" << net.size() << " H=" << h
-                << " engine=" << static_cast<int>(engine);
-        }
+        const auto exact = partitioner.partition(h);
+        EXPECT_EQ(exact.commBytes, ref.commBytes)
+            << "trial " << trial << " L=" << net.size() << " H=" << h;
+        EXPECT_EQ(exact.plan, ref.plan)
+            << "trial " << trial << " L=" << net.size() << " H=" << h;
 
         if (net.size() * h > 20)
             continue;

@@ -5,12 +5,12 @@
  *  1. *Pristine bit-identity*: an empty fault map — or an explicit
  *     all-1.0 one — must leave every layer of the stack bit-identical
  *     to a build without the fault field: CommModel totals, every
- *     search engine's plan and cost, topology exchange times, and
+ *     search's plan and cost, topology exchange times, and
  *     simulated step metrics. EXPECT_EQ on doubles, no tolerance.
  *
- *  2. *Degraded exactness*: with non-trivial level penalties the two
- *     joint-DP engines must still agree bit for bit with each other
- *     and with the naive reference DP, and with the flat enumeration
+ *  2. *Degraded exactness*: with non-trivial level penalties the
+ *     joint search must still agree bit for bit with the naive
+ *     reference DP, and with the flat enumeration
  *     oracle where it is affordable — the penalty is a uniform
  *     per-level weight, so every exactness/dominance/admissibility
  *     argument carries over, and this suite is the empirical check.
@@ -167,12 +167,12 @@ TEST(FaultsDifferential, AllOnesFaultMapIsBitIdenticalEndToEnd)
     }
 }
 
-TEST(FaultsDifferential, EnginesStayExactOnDegradedCostTables)
+TEST(FaultsDifferential, SearchStaysExactOnDegradedCostTables)
 {
-    // Randomized equivalence on *degraded* models: both engines
-    // agree bit for bit with each other and with the naive reference
-    // DP at every size, and with the flat hierarchical oracle up to 20
-    // plan bits, under random per-level penalties.
+    // Randomized equivalence on *degraded* models: the search agrees
+    // bit for bit with the naive reference DP at every size, and the
+    // reference with the flat hierarchical oracle up to 20 plan bits,
+    // under random per-level penalties.
     std::mt19937 rng(2024);
     for (int trial = 0; trial < 25; ++trial) {
         const dnn::Network net = randomNetwork(rng);
@@ -183,25 +183,19 @@ TEST(FaultsDifferential, EnginesStayExactOnDegradedCostTables)
         const core::OptimalPartitioner partitioner(model);
 
         const auto ref = partitioner.partitionReference(h);
-        const auto dense = partitioner.partition(h);
-        EXPECT_EQ(dense.commBytes, ref.commBytes) << "trial " << trial;
-        EXPECT_EQ(dense.plan, ref.plan) << "trial " << trial;
+        const auto result = partitioner.partition(h);
+        EXPECT_EQ(result.commBytes, ref.commBytes) << "trial " << trial;
+        EXPECT_EQ(result.plan, ref.plan) << "trial " << trial;
         // planBytes weights each level's *sum* while the DP weights
         // per-layer terms; with non-power-of-two penalties those
         // roundings differ by ULPs, so the cross-check is relative.
-        EXPECT_NEAR(model.planBytes(dense.plan), dense.commBytes,
-                    1e-12 * dense.commBytes)
+        EXPECT_NEAR(model.planBytes(result.plan), result.commBytes,
+                    1e-12 * result.commBytes)
             << "trial " << trial;
-
-        core::SearchOptions astar;
-        astar.engine = core::SearchEngine::kAStar;
-        const auto result = partitioner.partition(h, astar);
-        EXPECT_EQ(result.commBytes, dense.commBytes) << "trial " << trial;
-        EXPECT_EQ(result.plan, dense.plan) << "trial " << trial;
 
         if (net.size() * h <= 20) {
             const auto brute = core::bruteForceHierarchical(model, h);
-            EXPECT_DOUBLE_EQ(dense.commBytes, brute.commBytes)
+            EXPECT_DOUBLE_EQ(ref.commBytes, brute.commBytes)
                 << "trial " << trial << " L=" << net.size()
                 << " H=" << h;
         }
@@ -238,7 +232,7 @@ TEST(FaultsDifferential, DegradedArraysAreNeverFasterAndReplanHelps)
         EXPECT_GE(stale, healthy) << "seed " << seed;
 
         // Re-planning on the degraded cost tables can only lower the
-        // *communication* total below the stale plan's (the engine is
+        // *communication* total below the stale plan's (the search is
         // exact over the same degraded objective).
         const auto replanned =
             core::OptimalPartitioner(ev.model()).partition(

@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include "hyparc_app.hh"
+#include "serve/server.hh"
 #include "util/logging.hh"
 
 using namespace hypar;
@@ -49,90 +50,35 @@ TEST(HyparcArgs, ParsesFlags)
     EXPECT_EQ(opts.strategy, "owt");
 }
 
-TEST(HyparcArgs, ParsesSearchEngineFlags)
+TEST(HyparcArgs, EngineFlagIsCheckedThenIgnored)
 {
-    const auto opts = parseArgs({"plan", "--model", "Lenet-c",
-                                 "--strategy", "optimal", "--engine",
-                                 "beam", "--beam-width", "64"});
-    EXPECT_EQ(opts.strategy, "optimal");
-    EXPECT_EQ(opts.engine, "beam");
-    // Default: the auto engine.
-    const auto defaults = parseArgs({"plan", "--model", "Lenet-c"});
-    EXPECT_EQ(defaults.engine, "auto");
-}
-
-TEST(HyparcArgs, DeprecatedBeamWidthIsCheckedThenIgnored)
-{
-    // --beam-width outlived the beam engine by one release: a
-    // non-negative integer parses and changes nothing, anything else
-    // is rejected.
-    const std::vector<std::string> base = {"plan", "--model", "Lenet-c",
-                                           "--levels", "6", "--strategy",
-                                           "optimal", "--verbose"};
-    std::vector<std::string> widened = base;
-    widened.insert(widened.end(), {"--beam-width", "2048"});
-    EXPECT_EQ(run(widened), run(base));
-
-    for (const char *bad : {"-1", "x", "", "12k"}) {
-        std::vector<std::string> args = base;
-        args.insert(args.end(), {"--beam-width", bad});
-        EXPECT_THROW(parseArgs(args), util::FatalError) << bad;
+    // --engine is deprecated: every accepted name parses and changes
+    // nothing (one exact A* search answers every depth, past the old
+    // dense ceiling too); any other name is rejected.
+    for (const std::string levels : {"4", "12"}) {
+        const std::vector<std::string> base = {
+            "plan",     "--model",   "Lenet-c", "--levels",
+            levels,     "--strategy", "optimal", "--verbose"};
+        const std::string plain = run(base);
+        EXPECT_NE(plain.find("total communication"), std::string::npos);
+        for (const char *engine : serve::kEngineNames) {
+            std::vector<std::string> args = base;
+            args.insert(args.end(), {"--engine", engine});
+            EXPECT_EQ(run(args), plain) << levels << " " << engine;
+        }
     }
+    EXPECT_THROW(parseArgs({"plan", "--model", "Lenet-c", "--strategy",
+                            "optimal", "--engine", "bogus"}),
+                 util::FatalError);
 }
 
-TEST(HyparcCommands, OptimalStrategyHonorsEngines)
+TEST(HyparcArgs, RetiredBeamWidthFlagIsRejected)
 {
-    // Both engines agree on the optimal plan's total communication
-    // line, and the retired names run A*.
-    const std::string dense = run({"plan", "--model", "Lenet-c",
-                                   "--strategy", "optimal", "--engine",
-                                   "dense"});
-    const std::string sparse = run({"plan", "--model", "Lenet-c",
-                                    "--strategy", "optimal", "--engine",
-                                    "sparse"});
-    const std::string beam = run({"plan", "--model", "Lenet-c",
-                                  "--strategy", "optimal", "--engine",
-                                  "beam"});
-    const std::string astar = run({"plan", "--model", "Lenet-c",
-                                   "--strategy", "optimal", "--engine",
-                                   "astar"});
-    EXPECT_EQ(dense, sparse);
-    EXPECT_EQ(dense, beam);
-    EXPECT_EQ(dense, astar);
-    EXPECT_NE(dense.find("total communication"), std::string::npos);
-
-    // Past the dense ceiling only through astar (or auto).
-    std::ostringstream os;
-    EXPECT_THROW(runCommand(parseArgs({"plan", "--model", "Lenet-c",
-                                       "--levels", "12", "--strategy",
-                                       "optimal", "--engine", "dense"}),
-                            os),
+    // --beam-width tuned the deleted beam engine; after its
+    // deprecation release it is an unknown flag.
+    EXPECT_THROW(parseArgs({"plan", "--model", "Lenet-c", "--strategy",
+                            "optimal", "--beam-width", "64"}),
                  util::FatalError);
-    const std::string wide = run({"plan", "--model", "Lenet-c",
-                                  "--levels", "12", "--strategy",
-                                  "optimal"});
-    EXPECT_NE(wide.find("H12:"), std::string::npos);
-
-    EXPECT_THROW(runCommand(parseArgs({"plan", "--model", "Lenet-c",
-                                       "--strategy", "optimal",
-                                       "--engine", "bogus"}),
-                            os),
-                 util::FatalError);
-
-    // The verbose diagnostics of an alias are A*'s, down to the
-    // engine name.
-    const std::vector<std::string> verbose = {
-        "plan", "--model", "Lenet-c", "--levels", "12", "--strategy",
-        "optimal", "--verbose", "--engine"};
-    auto with = [&](const char *engine) {
-        std::vector<std::string> args = verbose;
-        args.push_back(engine);
-        return run(args);
-    };
-    const std::string astar_verbose = with("astar");
-    EXPECT_NE(astar_verbose.find("(engine astar)"), std::string::npos);
-    EXPECT_EQ(with("sparse"), astar_verbose);
-    EXPECT_EQ(with("beam"), astar_verbose);
 }
 
 TEST(HyparcArgs, Rejections)
@@ -182,36 +128,35 @@ TEST(HyparcCommands, StrategySelection)
 
 TEST(HyparcCommands, VerboseOptimalPrintsTransitions)
 {
-    // ROADMAP PR 2 follow-up: HierarchicalResult::transitionsEvaluated
-    // surfaces in verbose plan output for the joint-DP engines only.
+    // HierarchicalResult::transitionsEvaluated surfaces in verbose plan
+    // output for the joint search only.
     const std::string verbose = run({"plan", "--model", "Lenet-c",
-                                     "--strategy", "optimal",
-                                     "--verbose"});
+                                     "--strategy", "optimal", "--levels",
+                                     "2", "--verbose"});
     const auto pos = verbose.find("transitions evaluated: ");
     ASSERT_NE(pos, std::string::npos);
-    // The dense DP relaxes 2^H * 2^H * (L-1) = 16 * 16 * 3 transitions
-    // for Lenet-c at H = 4 — a deterministic count.
-    EXPECT_NE(verbose.find("transitions evaluated: 768"),
+    // At H = 2 the exhaustive reference DP answers and relaxes all
+    // 2^H * 2^H * (L-1) = 4 * 4 * 3 transitions of Lenet-c.
+    EXPECT_NE(verbose.find("transitions evaluated: 48\n"),
               std::string::npos)
         << verbose;
     // SearchStats ride along: node accounting and the certificate.
-    EXPECT_NE(verbose.find("nodes expanded: 64, pruned: 0"),
+    EXPECT_NE(verbose.find("nodes expanded: 16, pruned: 0"),
               std::string::npos)
         << verbose;
     EXPECT_NE(verbose.find("optimality: certified exact"),
               std::string::npos)
         << verbose;
 
-    // The A* engine reports its own (pruned) accounting and always
+    // Deeper, A* reports its own (pruned) accounting and always
     // certifies.
     const std::string astar = run({"plan", "--model", "Lenet-c",
-                                   "--strategy", "optimal", "--engine",
-                                   "astar", "--levels", "6",
-                                   "--verbose"});
+                                   "--strategy", "optimal", "--levels",
+                                   "6", "--verbose"});
     EXPECT_NE(astar.find("optimality: certified exact"),
               std::string::npos)
         << astar;
-    EXPECT_NE(astar.find("(engine astar)"), std::string::npos) << astar;
+    EXPECT_EQ(astar.find("engine"), std::string::npos) << astar;
 
     const std::string quiet = run({"plan", "--model", "Lenet-c",
                                    "--strategy", "optimal"});

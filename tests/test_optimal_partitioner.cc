@@ -22,6 +22,21 @@ using core::CommModel;
 using core::HierarchicalPartitioner;
 using core::OptimalPartitioner;
 
+namespace {
+
+/** Eight alternating fc layers: long enough for the bound to prune,
+ *  short enough for the reference DP at H = 10 (about a second). */
+dnn::Network
+deep8()
+{
+    dnn::NetworkBuilder b("deep8", {256, 1, 1});
+    for (int l = 0; l < 8; ++l)
+        b.fc("fc" + std::to_string(l), l % 2 ? 512 : 128);
+    return b.build();
+}
+
+} // namespace
+
 TEST(OptimalPartitioner, MatchesExhaustiveSearchOnTinyNets)
 {
     const std::vector<dnn::Network> nets = {
@@ -41,81 +56,63 @@ TEST(OptimalPartitioner, MatchesExhaustiveSearchOnTinyNets)
         for (std::size_t levels : {1u, 2u, 3u}) {
             const auto brute =
                 core::bruteForceHierarchical(model, levels);
-            for (auto engine :
-                 {core::SearchEngine::kAuto, core::SearchEngine::kDense,
-                  core::SearchEngine::kAStar}) {
-                core::SearchOptions opts;
-                opts.engine = engine;
-                const auto exact =
-                    OptimalPartitioner(model).partition(levels, opts);
-                EXPECT_DOUBLE_EQ(exact.commBytes, brute.commBytes)
-                    << net.name() << " H=" << levels << " engine="
-                    << static_cast<int>(engine);
-            }
+            const OptimalPartitioner opt(model);
+            const auto exact = opt.partition(levels);
+            const auto reference = opt.partitionReference(levels);
+            EXPECT_DOUBLE_EQ(exact.commBytes, brute.commBytes)
+                << net.name() << " H=" << levels;
+            EXPECT_EQ(exact.commBytes, reference.commBytes)
+                << net.name() << " H=" << levels;
+            EXPECT_EQ(exact.plan, reference.plan)
+                << net.name() << " H=" << levels;
         }
     }
 }
 
-TEST(OptimalPartitioner, AStarBitIdenticalToDenseAtTheDenseCeiling)
+TEST(OptimalPartitioner, AStarBitIdenticalToReferenceAtH10)
 {
-    // A* must reproduce the dense DP bit for bit at the dense engine's
-    // H = 10 ceiling, with fewer relaxations.
-    dnn::NetworkBuilder b("deep8", {256, 1, 1});
-    for (int l = 0; l < 8; ++l)
-        b.fc("fc" + std::to_string(l), l % 2 ? 512 : 128);
-    const dnn::Network net = b.build();
+    // A* must reproduce the exhaustive reference DP bit for bit at
+    // H = 10, with far fewer relaxations than its 4^H * (L-1).
+    const dnn::Network net = deep8();
     CommModel model(net, CommConfig{});
     OptimalPartitioner opt(model);
 
-    const auto dense = opt.partition(10);
-
-    core::SearchOptions astar;
-    astar.engine = core::SearchEngine::kAStar;
-    const auto as = opt.partition(10, astar);
-    EXPECT_EQ(as.commBytes, dense.commBytes);
-    EXPECT_EQ(as.plan, dense.plan);
+    const auto reference = opt.partitionReference(10);
+    const auto as = opt.partition(10);
+    EXPECT_EQ(as.commBytes, reference.commBytes);
+    EXPECT_EQ(as.plan, reference.plan);
     EXPECT_TRUE(as.stats.certifiedExact);
     // The suffix bound must actually prune: every node is either
     // expanded or pruned, and a healthy bound kills most of them.
     EXPECT_EQ(as.stats.expanded + as.stats.pruned,
               std::uint64_t{1 << 10} * model.numLayers());
     EXPECT_GT(as.stats.pruned, 0u);
-    EXPECT_LT(as.transitionsEvaluated, dense.transitionsEvaluated);
+    const std::uint64_t exhaustive =
+        (std::uint64_t{1} << 20) * (model.numLayers() - 1);
+    EXPECT_EQ(reference.transitionsEvaluated, exhaustive);
+    EXPECT_LT(as.transitionsEvaluated, exhaustive);
 }
 
-TEST(OptimalPartitioner, AutoAndRetiredEngineNamesRunAStarPastTheCeiling)
+TEST(OptimalPartitioner, AStarPrunesPastH10)
 {
-    // Past H = 10 kAuto routes to A*, and the retired engine names
-    // parse as A*: all three return the explicit A* result, search
-    // stats included. (Exactness at these depths is pinned against the
-    // naive DP in test_equivalence_random.)
-    dnn::NetworkBuilder b("deep8", {256, 1, 1});
-    for (int l = 0; l < 8; ++l)
-        b.fc("fc" + std::to_string(l), l % 2 ? 512 : 128);
-    const dnn::Network net = b.build();
+    // Exactness at these depths is pinned against the naive DP in
+    // test_equivalence_random; here the search must certify, stay
+    // deterministic and skip most of the 4^H * (L-1) relaxations.
+    const dnn::Network net = deep8();
     CommModel model(net, CommConfig{});
     OptimalPartitioner opt(model);
 
-    core::SearchOptions astar;
-    astar.engine = core::SearchEngine::kAStar;
-    const auto exact = opt.partition(12, astar);
+    const auto exact = opt.partition(12);
     EXPECT_TRUE(exact.stats.certifiedExact);
-    // Far fewer relaxations than the 4^H * (L-1) of exhaustion.
     EXPECT_LT(exact.transitionsEvaluated,
               (std::uint64_t{1} << 24) * (model.numLayers() - 1));
-
-    for (const char *name : {"auto", "sparse", "beam"}) {
-        core::SearchOptions opts;
-        opts.engine = core::searchEngineFromName(name);
-        const auto r = opt.partition(12, opts);
-        EXPECT_EQ(r.commBytes, exact.commBytes) << name;
-        EXPECT_EQ(r.plan, exact.plan) << name;
-        EXPECT_EQ(r.transitionsEvaluated, exact.transitionsEvaluated)
-            << name;
-        EXPECT_EQ(r.stats.expanded, exact.stats.expanded) << name;
-        EXPECT_EQ(r.stats.pruned, exact.stats.pruned) << name;
-        EXPECT_EQ(r.stats.widthUsed, exact.stats.widthUsed) << name;
-    }
+    const auto again = opt.partition(12);
+    EXPECT_EQ(again.commBytes, exact.commBytes);
+    EXPECT_EQ(again.plan, exact.plan);
+    EXPECT_EQ(again.transitionsEvaluated, exact.transitionsEvaluated);
+    EXPECT_EQ(again.stats.expanded, exact.stats.expanded);
+    EXPECT_EQ(again.stats.pruned, exact.stats.pruned);
+    EXPECT_EQ(again.stats.widthUsed, exact.stats.widthUsed);
 }
 
 TEST(OptimalPartitioner, CostEqualsPlanReplay)
@@ -209,22 +206,27 @@ TEST(OptimalPartitioner, SearchStatsAreDeterministicAndConsistent)
     const std::uint64_t states = 1u << levels;
     const std::uint64_t nodes = states * net.size();
 
-    core::SearchOptions o;
-    o.engine = core::SearchEngine::kDense;
-    const auto dense = opt.partition(levels, o);
-    EXPECT_TRUE(dense.stats.certifiedExact);
-    EXPECT_EQ(dense.stats.expanded, nodes);
-    EXPECT_EQ(dense.stats.pruned, 0u);
-    EXPECT_EQ(dense.stats.widthUsed, states);
+    // The exhaustive reference relaxes every transition and skips
+    // nothing.
+    const auto reference = opt.partitionReference(levels);
+    EXPECT_TRUE(reference.stats.certifiedExact);
+    EXPECT_EQ(reference.stats.expanded, nodes);
+    EXPECT_EQ(reference.stats.pruned, 0u);
+    EXPECT_EQ(reference.stats.widthUsed, states);
+    EXPECT_EQ(reference.transitionsEvaluated,
+              states * states * (net.size() - 1));
+    // partition() hands H <= 2 to the reference, counters included.
+    const auto shallow = opt.partition(2);
+    EXPECT_EQ(shallow.transitionsEvaluated, 16u * (net.size() - 1));
+    EXPECT_EQ(shallow.stats.expanded, 4u * net.size());
 
-    o.engine = core::SearchEngine::kAStar;
-    const auto astar = opt.partition(levels, o);
+    const auto astar = opt.partition(levels);
     EXPECT_TRUE(astar.stats.certifiedExact);
     EXPECT_EQ(astar.stats.expanded + astar.stats.pruned, nodes);
     EXPECT_GE(astar.stats.widthUsed, 1u);
     EXPECT_LE(astar.stats.widthUsed, states);
     // Stats are deterministic: a second identical search agrees.
-    const auto again = opt.partition(levels, o);
+    const auto again = opt.partition(levels);
     EXPECT_EQ(again.stats.expanded, astar.stats.expanded);
     EXPECT_EQ(again.stats.pruned, astar.stats.pruned);
     EXPECT_EQ(again.stats.widthUsed, astar.stats.widthUsed);
@@ -241,35 +243,10 @@ TEST(OptimalPartitioner, RejectsAbsurdDepth)
     CommModel model(net, CommConfig{});
     const OptimalPartitioner opt(model);
 
-    // H = 11 used to be fatal; kAuto now routes it to the A* engine.
+    // Past the old 4^H ceiling of H = 10 the search still answers...
     EXPECT_NO_THROW((void)opt.partition(11));
 
-    // The dense engine keeps the 4^H ceiling...
-    core::SearchOptions dense;
-    dense.engine = core::SearchEngine::kDense;
-    EXPECT_THROW((void)opt.partition(11, dense), util::FatalError);
-
-    // ...and A* and the reference oracle stop at H = 16.
+    // ...and both the search and the reference oracle stop at H = 16.
     EXPECT_THROW((void)opt.partition(17), util::FatalError);
-    core::SearchOptions astar;
-    astar.engine = core::SearchEngine::kAStar;
-    EXPECT_THROW((void)opt.partition(17, astar), util::FatalError);
     EXPECT_THROW((void)opt.partitionReference(17), util::FatalError);
-}
-
-TEST(OptimalPartitioner, SearchEngineNames)
-{
-    EXPECT_EQ(core::searchEngineFromName("auto"),
-              core::SearchEngine::kAuto);
-    EXPECT_EQ(core::searchEngineFromName("dense"),
-              core::SearchEngine::kDense);
-    EXPECT_EQ(core::searchEngineFromName("astar"),
-              core::SearchEngine::kAStar);
-    // The retired engines' names stay accepted as aliases of A*.
-    EXPECT_EQ(core::searchEngineFromName("sparse"),
-              core::SearchEngine::kAStar);
-    EXPECT_EQ(core::searchEngineFromName("beam"),
-              core::SearchEngine::kAStar);
-    EXPECT_THROW((void)core::searchEngineFromName("bogus"),
-                 util::FatalError);
 }

@@ -1,11 +1,11 @@
 /**
  * @file
- * Performance smoke test for the table-driven joint DP: the documented
- * H = 10 ceiling (1024 states, ~1M transitions per layer pair) must
- * complete on a 16-layer network in single-digit seconds. The naive
- * engine needed O(L * 4^H * H) CommModel calls and was two orders of
- * magnitude off that budget; a regression back to per-transition model
- * calls trips this test long before users notice.
+ * Performance smoke test for the table-driven joint search: H = 10
+ * (1024 states, ~1M transitions per layer pair) must complete on a
+ * 16-layer network in single-digit seconds. The naive DP needs
+ * O(L * 4^H * H) CommModel calls and was two orders of magnitude off
+ * that budget; a regression back to per-transition model calls trips
+ * this test long before users notice.
  */
 
 #include <gtest/gtest.h>
@@ -48,10 +48,9 @@ TEST(PerfSmoke, JointDpAtLevelCeilingFinishesInSingleDigitSeconds)
 
 TEST(PerfSmoke, JointDpReachesH12OnTheZooInSingleDigitSeconds)
 {
-    // Past the dense ceiling kAuto switches to the A* engine; H = 12
-    // (4096 accelerators) on VGG-E must stay interactive. The dense
-    // DP's 4^H transition loop would be 16x the H = 10 budget here;
-    // A* expands only the nodes its suffix bound cannot kill.
+    // H = 12 (4096 accelerators) on VGG-E must stay interactive. An
+    // exhaustive 4^H transition loop would be 16x the H = 10 budget
+    // here; A* expands only the nodes its suffix bound cannot kill.
     const dnn::Network net = dnn::makeVggE();
     const core::CommModel model(net, core::CommConfig{});
     const core::OptimalPartitioner partitioner(model);

@@ -11,6 +11,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -196,6 +197,29 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_THROW(serve::JsonValue::parse("[1,2"), util::FatalError);
 }
 
+TEST(Json, OutOfRangeNumbersParseAndCountsAreRangeChecked)
+{
+    // Well-formed literals past double's range parse (so a request
+    // still echoes its op) and round to +-infinity or toward zero.
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(serve::JsonValue::parse("1e400").asNumber(), inf);
+    EXPECT_EQ(serve::JsonValue::parse("-1e400").asNumber(), -inf);
+    EXPECT_EQ(serve::JsonValue::parse("1e-400").asNumber(), 0.0);
+    EXPECT_THROW(serve::JsonValue::parse("1e"), util::FatalError);
+
+    // isCount is the range check every integer field runs before its
+    // cast: whole, non-negative and below 2^64.
+    EXPECT_TRUE(serve::isCount(0.0));
+    EXPECT_TRUE(serve::isCount(16.0));
+    EXPECT_TRUE(serve::isCount(18446744073709549568.0)); // 2^64 - 2048
+    EXPECT_FALSE(serve::isCount(18446744073709551616.0)); // 2^64
+    EXPECT_FALSE(serve::isCount(1e300));
+    EXPECT_FALSE(serve::isCount(inf));
+    EXPECT_FALSE(serve::isCount(std::numeric_limits<double>::quiet_NaN()));
+    EXPECT_FALSE(serve::isCount(-1.0));
+    EXPECT_FALSE(serve::isCount(1.5));
+}
+
 TEST(Json, NestingIsBoundedAtSixtyFourLevels)
 {
     // 64 levels parse; the 65th is an error, not a deeper recursion.
@@ -286,20 +310,15 @@ TEST(Canonical, EveryKeyedFieldForksTheKey)
     EXPECT_NE(serve::contextHash(net, levels), base);
 }
 
-TEST(Canonical, PlanHashKeysStrategyAndSearchKnobs)
+TEST(Canonical, PlanHashKeysStrategyAndContext)
 {
     const dnn::Network net = dnn::parseNetworkSpec(kTinySpec);
     const sim::SimConfig cfg;
-    core::SearchOptions search;
+    const core::SearchOptions search;
     const std::string base =
         serve::planHash(net, cfg, "optimal", search);
 
     EXPECT_NE(serve::planHash(net, cfg, "hypar", search), base);
-
-    // The engine is keyed: its SearchStats differ.
-    core::SearchOptions astar = search;
-    astar.engine = core::SearchEngine::kAStar;
-    EXPECT_NE(serve::planHash(net, cfg, "optimal", astar), base);
 
     // The sweep key embeds the plan payload plus the swept level.
     EXPECT_NE(serve::sweepHash(net, cfg, "hypar", search, 1), base);
@@ -535,21 +554,18 @@ cacheFiles(const fs::path &dir)
 
 } // namespace
 
-TEST(Server, WarmCachePlanIsBitIdenticalToColdSearchAcrossEngines)
+TEST(Server, WarmCachePlanIsBitIdenticalToColdSearch)
 {
     TempDir tmp("serve_diff");
-    const std::string request =
-        R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)"
-        R"("engine":"ENGINE"})";
-
-    std::optional<PlanResponse> reference;
-    for (const std::string engine : {"dense", "sparse", "beam", "astar"}) {
-        std::string line = request;
-        line.replace(line.find("ENGINE"), 6, engine);
+    // H = 2 runs the reference DP, H = 4 the A* search.
+    for (const std::string levels : {"2", "4"}) {
+        const std::string line =
+            R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)"
+            R"("levels":)" + levels + "}";
 
         // Cold: a fresh server with a fresh cache directory searches.
         serve::ServeOptions opts;
-        opts.cacheDir = tmp.path / engine;
+        opts.cacheDir = tmp.path / levels;
         serve::Server cold(opts);
         const PlanResponse first =
             PlanResponse::parse(runBatch(cold, {line}).at(0));
@@ -565,14 +581,6 @@ TEST(Server, WarmCachePlanIsBitIdenticalToColdSearchAcrossEngines)
         EXPECT_EQ(second.commBytes, first.commBytes); // exact doubles
         EXPECT_EQ(second.transitions, first.transitions);
         EXPECT_TRUE(second.certified);
-
-        // All exact engines agree on the optimum (and its cost).
-        if (!reference) {
-            reference = first;
-        } else {
-            EXPECT_EQ(first.planBits, reference->planBits) << engine;
-            EXPECT_EQ(first.commBytes, reference->commBytes) << engine;
-        }
     }
 }
 
@@ -927,124 +935,101 @@ TEST(Server, ErrorResponsesEchoTheOpWhenItParsed)
     EXPECT_EQ(serve::JsonValue::parse(responses[3]).find("op"), nullptr);
 }
 
-TEST(Server, EngineAliasesShareOnePlanHashAndCacheEntry)
+TEST(Server, EveryEngineNameSharesOnePlanHashAndCacheEntry)
 {
-    // "sparse" and "beam" parse as A*, and the plan key holds the
-    // engine that runs, so all three names are one search: one key, one
-    // stored entry, and the aliases hit it.
-    TempDir tmp("serve_alias_key");
+    // `engine` is deprecated: every accepted name runs the same exact
+    // search, so with or without the field a request is one key, one
+    // stored entry, and every later name hits it — on both sides of
+    // the old dense/A* split at H = 10.
+    TempDir tmp("serve_engine_key");
     serve::ServeOptions opts;
     opts.cacheDir = tmp.path;
     serve::Server server(opts);
 
-    const std::string request =
-        R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)"
-        R"("levels":11,"engine":"ENGINE"})";
-    std::optional<PlanResponse> first;
-    for (const std::string engine : {"astar", "sparse", "beam"}) {
-        std::string line = request;
-        line.replace(line.find("ENGINE"), 6, engine);
-        const PlanResponse r =
-            PlanResponse::parse(runBatch(server, {line}).at(0));
-        if (!first) {
-            EXPECT_EQ(r.cacheOutcome, "miss");
-            first = r;
-            continue;
+    for (const std::string levels : {"2", "12"}) {
+        const std::string prefix =
+            R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)"
+            R"("levels":)" + levels;
+        const PlanResponse first =
+            PlanResponse::parse(runBatch(server, {prefix + "}"}).at(0));
+        EXPECT_EQ(first.cacheOutcome, "miss") << levels;
+        for (const char *engine : serve::kEngineNames) {
+            const std::string line =
+                prefix + R"(,"engine":")" + engine + "\"}";
+            const PlanResponse r =
+                PlanResponse::parse(runBatch(server, {line}).at(0));
+            EXPECT_EQ(r.cacheOutcome, "hit") << levels << engine;
+            EXPECT_EQ(r.planHash, first.planHash) << levels << engine;
+            EXPECT_EQ(r.planBits, first.planBits) << levels << engine;
+            EXPECT_EQ(r.commBytes, first.commBytes) << levels << engine;
+            EXPECT_EQ(r.transitions, first.transitions)
+                << levels << engine;
         }
-        EXPECT_EQ(r.cacheOutcome, "hit") << engine;
-        EXPECT_EQ(r.planHash, first->planHash) << engine;
-        EXPECT_EQ(r.planBits, first->planBits) << engine;
-        EXPECT_EQ(r.commBytes, first->commBytes) << engine;
-        EXPECT_EQ(r.transitions, first->transitions) << engine;
     }
-    EXPECT_EQ(server.cache().stats().stores, 1u);
-    EXPECT_EQ(cacheFiles(tmp.path), 1u);
+    EXPECT_EQ(server.cache().stats().stores, 2u);
+    EXPECT_EQ(cacheFiles(tmp.path), 2u);
+
+    // Any other name is still an in-band error.
+    const serve::JsonValue bad = serve::JsonValue::parse(
+        runBatch(server, {R"({"op":"plan","model":"Lenet-c",)"
+                          R"("strategy":"optimal","engine":"warp"})"})
+            .at(0));
+    EXPECT_FALSE(bad.find("ok")->asBool());
+    EXPECT_NE(bad.find("error")->asString().find("warp"),
+              std::string::npos);
 }
 
-TEST(Server, AutoEngineSharesTheEntryOfTheEngineItRuns)
+TEST(Server, RetiredBeamFieldsAreUnknownFields)
 {
-    // Past the dense ceiling "auto" runs A*, so an auto and an astar
-    // request are one search: one miss, one hit, one stored entry.
-    TempDir tmp("serve_auto_astar");
-    serve::ServeOptions opts;
-    opts.cacheDir = tmp.path;
-    serve::Server server(opts);
-
-    const std::string prefix =
-        R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)"
-        R"("levels":12)";
-    const PlanResponse autoRun =
-        PlanResponse::parse(runBatch(server, {prefix + "}"}).at(0));
-    const PlanResponse astar = PlanResponse::parse(
-        runBatch(server, {prefix + R"(,"engine":"astar"})"}).at(0));
-    EXPECT_EQ(autoRun.cacheOutcome, "miss");
-    EXPECT_EQ(astar.cacheOutcome, "hit");
-    EXPECT_EQ(astar.planHash, autoRun.planHash);
-    EXPECT_EQ(astar.planBits, autoRun.planBits);
-    EXPECT_EQ(astar.commBytes, autoRun.commBytes);
-    EXPECT_EQ(server.cache().stats().stores, 1u);
-    EXPECT_EQ(cacheFiles(tmp.path), 1u);
-}
-
-TEST(Server, PlanHashKeysOnlyTheEngineThatRuns)
-{
-    serve::ServeOptions opts;
-    opts.noCache = true;
-    serve::Server server(opts);
-    auto hashOf = [&](const std::string &line) {
-        return PlanResponse::parse(runBatch(server, {line}).at(0))
-            .planHash;
-    };
-
-    // Up to H = 10 "auto" runs the dense DP: one key with "dense".
-    const std::string optimal =
-        R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)"
-        R"("levels":4)";
-    EXPECT_EQ(hashOf(optimal + "}"),
-              hashOf(optimal + R"(,"engine":"dense"})"));
-    EXPECT_NE(hashOf(optimal + "}"),
-              hashOf(optimal + R"(,"engine":"astar"})"));
-
-    // No engine runs for Algorithm 2, so naming one cannot fork it.
-    const std::string hypar =
-        R"({"op":"plan","model":"Lenet-c","strategy":"hypar",)"
-        R"("levels":4)";
-    EXPECT_EQ(hashOf(hypar + "}"),
-              hashOf(hypar + R"(,"engine":"astar"})"));
-}
-
-TEST(Server, DeprecatedBeamFieldsAreValidatedThenIgnored)
-{
-    // beam_width and width_hint tuned the retired beam engine. For one
-    // release they are still checked as non-negative integers, and a
-    // request carrying them gets exactly the response of one without.
+    // beam_width and width_hint tuned the deleted beam engine; after
+    // their deprecation release they are unknown fields like any typo.
     serve::ServeOptions opts;
     opts.noCache = true;
     serve::Server server(opts);
 
-    const std::string plain =
-        R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)"
-        R"("engine":"beam","levels":8})";
-    const std::string tuned =
-        R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)"
-        R"("engine":"beam","levels":8,"beam_width":2048,"width_hint":8})";
-    const std::vector<std::string> responses =
-        runBatch(server, {plain, tuned});
-    ASSERT_EQ(responses.size(), 2u);
-    EXPECT_TRUE(serve::JsonValue::parse(responses[0]).find("ok")->asBool());
-    EXPECT_EQ(responses[1], responses[0]);
-
-    for (const std::string bad :
-         {R"("beam_width":-1)", R"("beam_width":1.5)",
-          R"("width_hint":"8")"}) {
+    for (const std::string field :
+         {R"("beam_width":64)", R"("width_hint":8)"}) {
         const std::string line =
             R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)" +
-            bad + "}";
+            field + "}";
         const serve::JsonValue v =
             serve::JsonValue::parse(runBatch(server, {line}).at(0));
-        EXPECT_FALSE(v.find("ok")->asBool()) << bad;
-        EXPECT_NE(v.find("error"), nullptr) << bad;
+        EXPECT_FALSE(v.find("ok")->asBool()) << field;
+        EXPECT_EQ(v.find("op")->asString(), "plan") << field;
+        EXPECT_NE(v.find("error")->asString().find("unknown request field"),
+                  std::string::npos)
+            << field;
     }
+}
+
+TEST(Server, OutOfRangeNumbersAnswerInBandWithTheOp)
+{
+    // An integer field past 2^64 — or past double's range, or not a
+    // whole number — is an in-band error that still echoes the op; it
+    // never reaches an undefined double-to-integer cast.
+    serve::ServeOptions opts;
+    opts.noCache = true;
+    serve::Server server(opts);
+
+    for (const std::string levels :
+         {"1e300", "1e400", "-1e400", "18446744073709551616", "4.5",
+          "-1"}) {
+        const std::string line =
+            R"({"op":"plan","model":"Lenet-c","levels":)" + levels + "}";
+        const serve::JsonValue v =
+            serve::JsonValue::parse(runBatch(server, {line}).at(0));
+        EXPECT_FALSE(v.find("ok")->asBool()) << levels;
+        ASSERT_NE(v.find("op"), nullptr) << levels;
+        EXPECT_EQ(v.find("op")->asString(), "plan") << levels;
+        EXPECT_NE(v.find("error")->asString().find("'levels'"),
+                  std::string::npos)
+            << levels;
+    }
+
+    // The server keeps serving.
+    const serve::JsonValue ok = serve::JsonValue::parse(
+        runBatch(server, {R"({"op":"plan","model":"Lenet-c"})"}).at(0));
+    EXPECT_TRUE(ok.find("ok")->asBool());
 }
 
 TEST(Server, DeeplyNestedLineAnswersInBandAndServingContinues)
@@ -1132,7 +1117,7 @@ TEST(Server, RejectedRequestsNeverTouchTheSessionRegistry)
          R"("faults":{"nodes":[[99,0.5]]}})",
          // distinct context that would evict, but the strategy is bad
          R"({"op":"evaluate","model":"SFC","strategy":"bogus"})",
-         // distinct context with an unknown engine
+         // distinct context with an unknown engine name
          R"({"op":"plan","model":"SFC","strategy":"optimal",)"
          R"("engine":"warp"})"});
     for (const std::string &line : responses)
@@ -1305,17 +1290,24 @@ TEST(Canonical, ChainHashesArePinnedAcrossTheDagGeneralization)
     // keys must never move — a warm session registry filled by a
     // pre-DAG build keeps hitting. If the first expectation fails,
     // kCanonicalVersion was effectively broken for every deployment.
-    // The plan hash was last re-pinned when the engine line became
-    // the engine that runs, written for "optimal" only
-    // (kPlanCacheVersion 4); it moves only with the cache version.
+    // The plan hash was last re-pinned when the plan key lost its
+    // engine line (kPlanCacheVersion 5); it moves only with the cache
+    // version. The pinned value is the SHA-256 of the canonical text
+    // below, computed outside this code base (Python's hashlib).
     const dnn::Network net = dnn::makeLenetC();
     const sim::SimConfig cfg;
     EXPECT_EQ(serve::contextHash(net, cfg),
               "6aacb02bd566f49eea451ce9e7ab0723"
               "e7183076aa4f0a0fd0e21f9a1db2fad9");
-    EXPECT_EQ(serve::planHash(net, cfg, "optimal", core::SearchOptions{}),
-              "ad3c4f34a249ab7b2fbfb53ed5445ee1"
-              "c0802d8a80581623bca752eb15c12877");
+    const std::string text =
+        serve::canonicalPlanRequest(net, cfg, "optimal", {});
+    EXPECT_EQ(text, serve::canonicalContext(net, cfg) +
+                        "[plan]\nstrategy=optimal\n");
+    EXPECT_EQ(serve::planHash(net, cfg, "optimal", {}),
+              serve::sha256Hex(text));
+    EXPECT_EQ(serve::planHash(net, cfg, "optimal", {}),
+              "b5eb4874597d155d7b1e12bf04d21c3b"
+              "f7ac5a397ad9d79d5f5e4bf603718075");
 }
 
 TEST(Canonical, DagEdgeOrderDoesNotForkTheKey)

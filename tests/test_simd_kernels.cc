@@ -2,8 +2,8 @@
  * @file
  * Bit-equivalence suite for the runtime-dispatched SIMD kernel pairs
  * (core/simd_kernels.hh): the scalar and AVX2 sets must agree
- * bit-for-bit — values via EXPECT_EQ on doubles, argmin winners and
- * relax provenance exactly — across H = 1..16, including array
+ * bit-for-bit — values via EXPECT_EQ on doubles or on their bit
+ * patterns — across H = 1..16, including array
  * lengths that are not multiples of the 4-double AVX2 lane width, so
  * every tail path runs. A straight-line reference implementation
  * inside the test pins the scalar set itself, so a bug cannot hide in
@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -69,7 +70,6 @@ TEST(SimdKernels, ActiveSetIsWellFormed)
     const Kernels &k = core::simd::activeKernels();
     EXPECT_NE(k.name, nullptr);
     EXPECT_NE(k.expandLevel, nullptr);
-    EXPECT_NE(k.argminAdd, nullptr);
     EXPECT_NE(k.relaxRow, nullptr);
 }
 
@@ -113,102 +113,48 @@ TEST(SimdKernels, ExpandLevelMatchesReferenceAndAvx2)
     }
 }
 
-TEST(SimdKernels, ArgminAddMatchesAcrossSizesAndTails)
-{
-    std::mt19937_64 rng(977);
-    for (const std::size_t n : testSizes()) {
-        auto cost = randomTable(rng, n);
-        auto trans = randomTable(rng, n);
-        // Plant exact ties (same summands => same float sum) so the
-        // lowest-index rule is actually exercised, including across
-        // the vector/tail boundary.
-        if (n >= 8) {
-            cost[n / 2] = cost[1];
-            trans[n / 2] = trans[1];
-            cost[n - 1] = cost[1];
-            trans[n - 1] = trans[1];
-        }
-        double ref_min = std::numeric_limits<double>::infinity();
-        std::uint32_t ref_p = 0;
-        for (std::size_t p = 0; p < n; ++p) {
-            const double c = cost[p] + trans[p];
-            if (c < ref_min) {
-                ref_min = c;
-                ref_p = static_cast<std::uint32_t>(p);
-            }
-        }
-        double m_s = -1.0, m_v = -1.0;
-        const std::uint32_t p_s = scalarKernels().argminAdd(
-            cost.data(), trans.data(), n, &m_s);
-        EXPECT_EQ(ref_min, m_s) << "n=" << n;
-        EXPECT_EQ(ref_p, p_s) << "n=" << n;
-        if (avx2Available()) {
-            const std::uint32_t p_v = avx2Kernels().argminAdd(
-                cost.data(), trans.data(), n, &m_v);
-            EXPECT_EQ(ref_min, m_v) << "n=" << n;
-            EXPECT_EQ(ref_p, p_v) << "n=" << n;
-        }
-    }
-}
-
-TEST(SimdKernels, ArgminAddAllInfiniteReturnsIndexZero)
-{
-    const std::size_t n = 13; // vector body + tail
-    const std::vector<double> cost(
-        n, std::numeric_limits<double>::infinity());
-    const std::vector<double> trans(n, 1.0);
-    double m = 0.0;
-    EXPECT_EQ(0u, scalarKernels().argminAdd(cost.data(), trans.data(),
-                                            n, &m));
-    EXPECT_EQ(std::numeric_limits<double>::infinity(), m);
-    if (avx2Available()) {
-        EXPECT_EQ(0u, avx2Kernels().argminAdd(cost.data(),
-                                              trans.data(), n, &m));
-        EXPECT_EQ(std::numeric_limits<double>::infinity(), m);
-    }
-}
-
 TEST(SimdKernels, RelaxRowMatchesAndKeepsIncumbentOnTies)
 {
     std::mt19937_64 rng(40429);
     for (const std::size_t n : testSizes()) {
-        const auto trans = randomTable(rng, n);
+        auto trans = randomTable(rng, n);
         auto best_ref = randomTable(rng, n);
-        // Exact ties at a vector lane and at the tail: the incumbent
-        // (lower p, already stored) must survive in both sets.
+        // Exact ties at a vector lane and at the tail, made visible in
+        // the stored bits: an incumbent -0.0 against a candidate sum of
+        // +0.0, and an incumbent NaN, must both survive in both sets.
         const double cost_p = 1234.5;
         if (n >= 8) {
-            best_ref[2] = cost_p + trans[2];
-            best_ref[n - 1] = cost_p + trans[n - 1];
+            trans[2] = -cost_p;
+            best_ref[2] = -0.0;
+            trans[n - 1] = -cost_p;
+            best_ref[n - 1] = -0.0;
+            best_ref[3] = std::numeric_limits<double>::quiet_NaN();
+            best_ref[n - 2] = std::numeric_limits<double>::quiet_NaN();
         }
-        std::vector<std::uint32_t> prev_ref(n, 7);
         auto best_s = best_ref;
-        auto prev_s = prev_ref;
         auto best_v = best_ref;
-        auto prev_v = prev_ref;
 
-        const std::uint32_t p = 42;
         for (std::size_t s = 0; s < n; ++s) {
             const double c = cost_p + trans[s];
-            if (c < best_ref[s]) {
+            if (c < best_ref[s])
                 best_ref[s] = c;
-                prev_ref[s] = p;
-            }
         }
-        scalarKernels().relaxRow(best_s.data(), prev_s.data(),
-                                 trans.data(), cost_p, p, n);
+        scalarKernels().relaxRow(best_s.data(), trans.data(), cost_p, n);
         if (avx2Available())
-            avx2Kernels().relaxRow(best_v.data(), prev_v.data(),
-                                   trans.data(), cost_p, p, n);
+            avx2Kernels().relaxRow(best_v.data(), trans.data(), cost_p, n);
         for (std::size_t s = 0; s < n; ++s) {
-            EXPECT_EQ(best_ref[s], best_s[s]) << "n=" << n << " s=" << s;
-            EXPECT_EQ(prev_ref[s], prev_s[s]) << "n=" << n << " s=" << s;
-            if (avx2Available()) {
-                EXPECT_EQ(best_ref[s], best_v[s])
+            const auto bits = [](double v) {
+                return std::bit_cast<std::uint64_t>(v);
+            };
+            EXPECT_EQ(bits(best_ref[s]), bits(best_s[s]))
+                << "n=" << n << " s=" << s;
+            if (avx2Available())
+                EXPECT_EQ(bits(best_ref[s]), bits(best_v[s]))
                     << "n=" << n << " s=" << s;
-                EXPECT_EQ(prev_ref[s], prev_v[s])
-                    << "n=" << n << " s=" << s;
-            }
+        }
+        if (n >= 8) {
+            EXPECT_TRUE(std::signbit(best_s[2])) << "n=" << n;
+            EXPECT_TRUE(std::isnan(best_s[3])) << "n=" << n;
         }
     }
 }

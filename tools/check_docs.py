@@ -6,15 +6,16 @@ Checked documents: README.md, docs/ARCHITECTURE.md, docs/SERVING.md,
 tools/README.md.
 Checked reference kinds:
 
-  * CLI flags (``--engine``, ``--beam-width``, ...) must appear in
+  * CLI flags (``--engine``, ``--no-cache``, ...) must appear in
     tools/hyparc_app.cc (its parser or usage string).
   * The reverse direction too: every flag hyparc's parser accepts
     (``arg == "--x"`` in parseArgs) must be advertised in the usage()
     string and mentioned by at least one checked document, so a new
     flag (``--overlap``, ``--limit``, ``--seed``, ...) cannot land
     undocumented.
-  * Search-engine names (``--engine <name>``) must be accepted by
-    searchEngineFromName in src/core/optimal_partitioner.cc.
+  * Engine names (``--engine <name>``) must be in the kEngineNames
+    list in src/serve/server.hh, which validateEngineName checks the
+    deprecated ``--engine`` flag and ``engine`` field against.
   * Backticked targets that look like binaries/targets
     (``bench_*``, ``test_*``, ``hyparc``, ``example_*``,
     ``*_json``) must exist as sources or CMake custom targets.
@@ -72,20 +73,26 @@ def read(relpath):
     return (ROOT / relpath).read_text(encoding="utf-8")
 
 
+def initializer_names(text, array):
+    """The quoted names of a ``array[] = {...};`` initializer in
+    ``text`` (per-entry // comments stripped), or None when absent."""
+    init = re.search(array + r"\[\]\s*=\s*\{(.*?)\};", text, re.S)
+    if not init:
+        return None
+    # Strip the per-entry // comments first — they quote nested JSON
+    # keys ("nodes", "links") that are not entries.
+    return re.findall(r'"(\w+)"', re.sub(r"//[^\n]*", "", init.group(1)))
+
+
 def check_serving_schema(errors):
     """docs/SERVING.md's schema table vs server.hh's kRequestFields."""
-    server = read("src/serve/server.hh")
-    init = re.search(r"kRequestFields\[\]\s*=\s*\{(.*?)\};", server,
-                     re.S)
-    if not init:
+    parsed = initializer_names(read("src/serve/server.hh"),
+                               "kRequestFields")
+    if parsed is None:
         errors.append("src/serve/server.hh: could not locate the "
                       "kRequestFields initializer (update "
                       "check_docs.py)")
         return
-    # Strip the per-field // comments first — they quote nested JSON
-    # keys ("nodes", "links") that are not request fields.
-    body = re.sub(r"//[^\n]*", "", init.group(1))
-    parsed = re.findall(r'"(\w+)"', body)
 
     serving = read("docs/SERVING.md")
     section = re.search(r"^## Request fields$(.*?)(?=^## |\Z)", serving,
@@ -163,21 +170,23 @@ def fail(errors):
 def main():
     errors = []
     app = read("tools/hyparc_app.cc")
-    engines = read("src/core/optimal_partitioner.cc")
     zoo = read("src/dnn/model_zoo.cc")
     cmake = read("CMakeLists.txt")
 
-    known_engines = set(
-        re.findall(r'name == "(\w+)"', engines)
-    )
+    known_engines = initializer_names(read("src/serve/server.hh"),
+                                      "kEngineNames")
+    if known_engines is None:
+        errors.append("src/serve/server.hh: could not locate the "
+                      "kEngineNames initializer (update check_docs.py)")
+        known_engines = []
     # Zoo names are only the ones NetworkBuilder registers (not every
     # quoted string — layer names would silence the check).
     known_models = set(
         re.findall(r'NetworkBuilder(?:\s+\w+)?\("([^"]+)"', zoo)
     )
     # Exact flag tokens hyparc parses or advertises, for exact
-    # membership (substring matching would let a stale '--beam' ride
-    # on '--beam-width').
+    # membership (substring matching would let a stale '--no' ride on
+    # '--no-cache').
     known_flags = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", app))
 
     # The flags the parser actually accepts, and the usage() string, for
@@ -233,8 +242,8 @@ def main():
         for name in re.findall(r"--engine[ =](\w+)", text):
             if name not in known_engines:
                 errors.append(
-                    f"{doc}: engine '{name}' not accepted by "
-                    "searchEngineFromName")
+                    f"{doc}: engine '{name}' not in kEngineNames "
+                    "(src/serve/server.hh)")
 
         # Zoo models in `--model X` examples.
         for name in re.findall(r"--model ([\w-]+)", text):

@@ -17,7 +17,6 @@
 #include "core/strategies.hh"
 #include "dnn/model_zoo.hh"
 #include "dnn/spec_parser.hh"
-#include "serve/canonical.hh"
 #include "serve/server.hh"
 #include "sim/evaluator.hh"
 #include "sim/robust.hh"
@@ -74,10 +73,7 @@ makeStrategyPlan(const Options &opts, const core::CommModel &model,
     if (opts.strategy == "owt")
         return core::makeOneWeirdTrickPlan(model.network(), opts.levels);
     if (opts.strategy == "optimal") {
-        core::SearchOptions search;
-        search.engine = core::searchEngineFromName(opts.engine);
-        auto result =
-            core::OptimalPartitioner(model).partition(opts.levels, search);
+        auto result = core::OptimalPartitioner(model).partition(opts.levels);
         if (search_out != nullptr)
             *search_out = result;
         return result.plan;
@@ -120,14 +116,11 @@ cmdPlan(const Options &opts, std::ostream &os)
        << " accelerators:\n"
        << core::toString(plan) << "total communication: "
        << util::formatBytes(model.planBytes(plan)) << "\n";
-    // Search-effort diagnostics: only the joint-DP engines count
-    // relaxations and carry SearchStats (see HierarchicalResult).
+    // Search-effort diagnostics: only the joint search counts
+    // relaxations and carries SearchStats (see HierarchicalResult).
     if (opts.verbose && opts.strategy == "optimal") {
         os << "transitions evaluated: " << search.transitionsEvaluated
-           << " (engine "
-           << serve::searchEngineName(
-                  core::searchEngineFromName(opts.engine))
-           << ")\n"
+           << "\n"
            << "nodes expanded: " << search.stats.expanded
            << ", pruned: " << search.stats.pruned << ", frontier width: "
            << search.stats.widthUsed << "\n"
@@ -687,7 +680,6 @@ cmdFaults(const Options &opts, std::ostream &os)
     ropts.rate = parseRate(opts.rate);
     ropts.samples = opts.samples;
     ropts.seed = opts.seed;
-    ropts.search.engine = core::searchEngineFromName(opts.engine);
     const sim::RobustResult result = sim::robustPlan(net, cfg, ropts);
 
     os << net.name() << ": robust plan over " << opts.samples
@@ -731,12 +723,9 @@ usage()
            "  --model <zoo name> | --spec <file>\n"
            "  [--levels N] [--batch B] [--topology htree|torus|mesh]\n"
            "  [--strategy hypar|dp|mp|owt|optimal] [-o|--output <file>]\n"
-           "  [--engine auto|dense|astar]\n"
-           "    (strategy=optimal: joint-DP engine, all exact; dense\n"
-           "     reaches H=10, astar H=16, auto picks dense up to\n"
-           "     H=10 and astar beyond; sparse and beam are aliases\n"
-           "     of astar; --beam-width N is deprecated: checked,\n"
-           "     then ignored)\n"
+           "  [--engine auto|dense|astar|sparse|beam]\n"
+           "    (deprecated: checked, then ignored; --strategy\n"
+           "     optimal always runs the exact A* search, H <= 16)\n"
            "  [--verbose]  (plan: search diagnostics for --strategy\n"
            "     optimal: transitions evaluated, expanded/pruned\n"
            "     nodes, frontier width, optimality certificate)\n"
@@ -813,13 +802,7 @@ parseArgs(const std::vector<std::string> &args)
         } else if (arg == "--strategy") {
             opts.strategy = value(i);
         } else if (arg == "--engine") {
-            opts.engine = value(i);
-        } else if (arg == "--beam-width") {
-            // Deprecated with the beam engine: checked, then ignored.
-            const std::string &width = value(i);
-            if (width.empty() ||
-                width.find_first_not_of("0123456789") != std::string::npos)
-                util::fatal("--beam-width must be a non-negative integer");
+            serve::validateEngineName(value(i)); // deprecated, ignored
         } else if (arg == "--axes") {
             opts.axes = value(i);
         } else if (arg == "--format") {
