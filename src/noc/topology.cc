@@ -9,7 +9,7 @@ namespace hypar::noc {
 Topology::Topology(std::size_t levels, const TopologyConfig &config)
     : levels_(levels), config_(config), penalties_(levels, 1.0)
 {
-    if (levels_ > 20)
+    if (levels_ > kMaxLevels)
         util::fatal("Topology: unreasonable hierarchy depth");
     // Negated comparisons so NaN configs are rejected too (a NaN
     // bandwidth used to sail through and turn every cost into NaN).

@@ -46,6 +46,9 @@ struct TopologyConfig
 class Topology
 {
   public:
+    /** Deepest hierarchy the constructor accepts (2^20 nodes). */
+    static constexpr std::size_t kMaxLevels = 20;
+
     Topology(std::size_t levels, const TopologyConfig &config);
     virtual ~Topology() = default;
 

@@ -29,8 +29,7 @@
  *  - planHash(network, config, strategy, search): contextHash's
  *    payload plus the strategy. The on-disk plan cache keys on it.
  *    core::SearchOptions holds no field today, so it adds nothing to
- *    the key; the deprecated `engine` request field is not keyed
- *    either, because every engine name runs the same search.
+ *    the key.
  *
  * sweepHash(network, config, strategy, search, level) extends the plan
  * payload with the swept hierarchy level; the on-disk sweep-result

@@ -57,7 +57,7 @@ namespace hypar::serve {
 /** On-disk format version; bump on any layout or plan-key change, so
  *  entries keyed under an older key text quarantine instead of
  *  lingering as unreachable stale files. Version 5: the plan key has
- *  no engine line (one exact search answers every engine name). */
+ *  no engine line (one exact search answers every depth). */
 inline constexpr int kPlanCacheVersion = 5;
 
 /** Format tag every plan entry must carry. */

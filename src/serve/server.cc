@@ -14,6 +14,7 @@
 #include "core/strategies.hh"
 #include "dnn/model_zoo.hh"
 #include "dnn/spec_parser.hh"
+#include "noc/topology.hh"
 #include "serve/canonical.hh"
 #include "serve/json.hh"
 #include "util/logging.hh"
@@ -133,8 +134,6 @@ parseRequest(const std::string &line, Request &req)
         req.topology = v->asString();
     if (const JsonValue *v = root.find("strategy"))
         req.strategy = v->asString();
-    if (const JsonValue *v = root.find("engine"))
-        validateEngineName(v->asString()); // deprecated, then ignored
     if (const JsonValue *v = root.find("overlap"))
         req.overlap = v->asBool();
     if (const JsonValue *v = root.find("faults")) {
@@ -166,6 +165,20 @@ parseRequest(const std::string &line, Request &req)
             util::fatal("request field 'steps' must be at most " +
                         std::to_string(kMaxEvaluateSteps));
     }
+
+    // Depth fields, checked before anything is sized by them.
+    if (req.levels > noc::Topology::kMaxLevels)
+        util::fatal("request field 'levels' must be at most " +
+                    std::to_string(noc::Topology::kMaxLevels));
+    const bool searches = !(req.op == "evaluate" && req.hasPlan);
+    if (searches && req.strategy == "optimal" &&
+        req.levels > core::OptimalPartitioner::kMaxLevels)
+        util::fatal("request field 'levels' must be at most " +
+                    std::to_string(core::OptimalPartitioner::kMaxLevels) +
+                    " with strategy 'optimal'");
+    if (req.op == "sweep" && req.hasLevel && req.level >= req.levels)
+        util::fatal("request field 'level' must be below 'levels' (" +
+                    std::to_string(req.levels) + ")");
 }
 
 dnn::Network
@@ -339,16 +352,6 @@ opIndex(const std::string &op)
 }
 
 } // namespace
-
-void
-validateEngineName(const std::string &name)
-{
-    for (const char *known : kEngineNames)
-        if (name == known)
-            return;
-    util::fatal("unknown search engine '" + name +
-                "' (auto|dense|astar|sparse|beam)");
-}
 
 bool
 requestFieldKnown(const std::string &key)

@@ -6,7 +6,7 @@
  * contract says to build exactly once per (network, SimConfig):
  * the parsed network, the config, and the sim::Evaluator (which in
  * turn owns the degraded topology, the CommModel byte tables, and the
- * simulator with its prefix-count table). Sessions are keyed by
+ * training simulator). Sessions are keyed by
  * serve::contextHash — the SHA-256 of the canonical context text — so
  * any request that re-states the same problem reuses the warm state
  * no matter how it spelled its spec.

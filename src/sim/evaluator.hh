@@ -114,10 +114,10 @@ class Evaluator
      * deterministic chunking (util::ThreadPool::grainFor). The CommModel
      * tables and topology are shared read-only across threads; each
      * chunk clones the lightweight per-thread TrainingSimulator state.
-     * Plans in a batch share the simulator's per-column prefix-count
-     * table, so scoring a plan never rebuilds the per-plan History
-     * chain — grids whose plans differ in a few layers pay only for
-     * the task list itself. results[i] is bit-identical to
+     * Scoring a plan reads every scaling count from its layers'
+     * level-vector columns and never rebuilds a per-plan History
+     * chain, so a plan pays only for its task list and its two-tape
+     * replay. results[i] is bit-identical to
      * evaluate(plans[i]). SimOptions::recordTrace is not supported
      * here (per-thread traces would be discarded); lastTrace() is
      * unaffected by batch calls.

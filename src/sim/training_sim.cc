@@ -5,7 +5,6 @@
 
 #include "core/brute_force.hh"
 #include "core/level_bits.hh"
-#include "sim/event_queue.hh"
 #include "util/logging.hh"
 
 namespace hypar::sim {
@@ -33,6 +32,57 @@ addPhaseSeconds(TimeBreakdown &phases, int phase, double seconds)
     }
 }
 
+/**
+ * The two tapes of a step replay, and the one place their update rules
+ * are written. The serial tape is the lockstep chain: compute tasks and
+ * synchronous exchanges advance it. The network tape is the
+ * interconnect's occupancy: an overlapped gradient reduction starts
+ * once its data is ready (serial) and the interconnect is idle
+ * (network), and advances only the network tape; a synchronous
+ * exchange also holds the interconnect, so it waits for the network
+ * tape and leaves both tapes at its end. Both tapes only grow and every
+ * task ends at the new value of one of them, so the latest task end is
+ * finish().
+ */
+struct Tapes
+{
+    struct Span
+    {
+        double start = 0.0;
+        double end = 0.0;
+    };
+
+    double serial = 0.0;
+    double network = 0.0;
+
+    Span
+    compute(double seconds)
+    {
+        const double start = serial;
+        serial = start + seconds;
+        return {start, serial};
+    }
+
+    Span
+    syncExchange(double seconds)
+    {
+        const double start = std::max(serial, network);
+        serial = start + seconds;
+        network = serial;
+        return {start, serial};
+    }
+
+    Span
+    asyncExchange(double seconds)
+    {
+        const double start = std::max(network, serial);
+        network = start + seconds;
+        return {start, network};
+    }
+
+    double finish() const { return std::max(serial, network); }
+};
+
 } // namespace
 
 TrainingSimulator::TrainingSimulator(const core::CommModel &model,
@@ -48,28 +98,6 @@ TrainingSimulator::TrainingSimulator(const core::CommModel &model,
         !std::isfinite(options_.computeScale))
         util::fatal("TrainingSimulator: SimOptions::computeScale must "
                     "be positive and finite");
-    const std::size_t levels = topo_->levels();
-    if (levels <= kPrefixTableMaxLevels) {
-        const std::size_t states = std::size_t{1} << levels;
-        prefixDp_.resize(states * (levels + 1));
-        for (std::size_t s = 0; s < states; ++s) {
-            unsigned dp = 0;
-            for (std::size_t h = 0; h <= levels; ++h) {
-                prefixDp_[s * (levels + 1) + h] =
-                    static_cast<std::uint8_t>(dp);
-                if (h < levels && ((s >> h) & 1u) == 0)
-                    ++dp;
-            }
-        }
-    }
-}
-
-unsigned
-TrainingSimulator::dpAbove(std::uint32_t state, std::size_t h) const
-{
-    if (!prefixDp_.empty())
-        return prefixDp_[std::size_t{state} * (topo_->levels() + 1) + h];
-    return core::dpAbove(state, h);
 }
 
 void
@@ -125,10 +153,7 @@ TrainingSimulator::buildTasks(const core::HierarchicalPlan &plan,
 
     // Per-layer level-vector columns: bit h of col[l] set = layer l
     // runs model-parallel at level h. All the dp/mp counts the scaling
-    // needs are functions of a layer's own column, served by dpAbove()
-    // from the shared prefix-count table — no per-plan History chain
-    // is rebuilt, so batched/swept plans that differ in a few layers
-    // share all of this for free.
+    // needs are functions of a layer's own column (core::dpAbove).
     HYPAR_ASSERT(levels < 32, "plan depth exceeds the 32-bit column");
     std::vector<std::uint32_t> col(num_layers, 0);
     for (std::size_t h = 0; h < levels; ++h)
@@ -141,7 +166,7 @@ TrainingSimulator::buildTasks(const core::HierarchicalPlan &plan,
     std::vector<double> weight_shard(num_layers);
     std::vector<double> in_shard(num_layers);
     for (std::size_t l = 0; l < num_layers; ++l) {
-        const auto d = static_cast<int>(dpAbove(col[l], levels));
+        const auto d = static_cast<int>(core::dpAbove(col[l], levels));
         const auto m = static_cast<int>(levels) - d;
         batch_shard[l] = batch * std::ldexp(1.0, -d);
         weight_shard[l] = static_cast<double>(
@@ -201,7 +226,7 @@ TrainingSimulator::buildTasks(const core::HierarchicalPlan &plan,
 
         for (std::size_t h = 0; h < levels; ++h) {
             if (plan.levels[h][l] == core::Parallelism::kModel) {
-                const unsigned dp = dpAbove(col[l], h);
+                const unsigned dp = core::dpAbove(col[l], h);
                 addExchange(tasks, h,
                             model_->intraBytesAt(
                                 l, core::Parallelism::kModel, dp,
@@ -216,7 +241,7 @@ TrainingSimulator::buildTasks(const core::HierarchicalPlan &plan,
                             model_->interBytesFAt(
                                 l, plan.levels[h][l],
                                 plan.levels[h][w],
-                                dpAbove(col[l], h)),
+                                core::dpAbove(col[l], h)),
                             false, kFwd, "featx", layer.name, metrics);
             }
         }
@@ -241,8 +266,8 @@ TrainingSimulator::buildTasks(const core::HierarchicalPlan &plan,
             for (const std::size_t u : net.preds(l)) {
                 addExchange(tasks, h,
                             model_->interBytesEAt(
-                                u, plan.levels[h][u],
-                                plan.levels[h][l], dpAbove(col[l], h)),
+                                u, plan.levels[h][u], plan.levels[h][l],
+                                core::dpAbove(col[l], h)),
                             false, kBwd, "errx", layer.name, metrics);
             }
         }
@@ -263,7 +288,7 @@ TrainingSimulator::buildTasks(const core::HierarchicalPlan &plan,
 
         for (std::size_t h = 0; h < levels; ++h) {
             if (plan.levels[h][l] == core::Parallelism::kData) {
-                const unsigned dp = dpAbove(col[l], h);
+                const unsigned dp = core::dpAbove(col[l], h);
                 addExchange(tasks, h,
                             model_->intraBytesAt(
                                 l, core::Parallelism::kData, dp,
@@ -291,7 +316,7 @@ TrainingSimulator::simulateSteadyState(const core::HierarchicalPlan &plan,
         util::fatal("simulateSteadyState: need at least one step");
 
     StepMetrics metrics;
-    std::vector<Task> step_tasks = buildTasks(plan, metrics);
+    const std::vector<Task> step_tasks = buildTasks(plan, metrics);
 
     // Per-step accounting was accumulated once by buildTasks; scale
     // the totals.
@@ -304,130 +329,35 @@ TrainingSimulator::simulateSteadyState(const core::HierarchicalPlan &plan,
     metrics.computeBusySeconds = 0.0; // re-accumulated by the replay
     trace_.clear();
 
-    // The resource algebra both paths below apply per task: the serial
-    // chain models the lockstep dependence (compute -> exchange -> next
-    // layer); async exchanges contend for the network but do not block
-    // the chain.
-    double serial_free = 0.0;  // when the lockstep chain may continue
-    double network_free = 0.0; // when the interconnect is idle again
-    auto applyTask = [&](const Task &t) {
-        double start = 0.0;
-        if (t.kind == Task::Kind::kCompute) {
-            start = serial_free;
-            serial_free = start + t.seconds;
-            metrics.computeBusySeconds += t.seconds;
-        } else if (t.async) {
-            // Data is ready once the producing compute finished
-            // (serial_free); the network may still be draining.
-            start = std::max(network_free, serial_free);
-            network_free = start + t.seconds;
-        } else {
-            start = std::max(serial_free, network_free);
-            serial_free = start + t.seconds;
-            network_free = serial_free;
-        }
-        const double end = start + t.seconds;
-        addPhaseSeconds(metrics.phases, t.phase, t.seconds);
-        if (t.kind == Task::Kind::kExchange)
-            metrics.networkBusySeconds += t.seconds;
-        if (options_.recordTrace)
-            trace_.push_back(TraceEntry{start, end, t.label});
-        return end;
-    };
-
-    if (steps == 1) {
-        // Single step: play the task list through the event queue (the
-        // historical simulate() path, kept verbatim).
-        EventQueue queue;
-        double sim_end = 0.0;
-        std::size_t next = 0;
-        std::function<void()> dispatch = [&]() {
-            if (next >= step_tasks.size())
-                return;
-            const double end = applyTask(step_tasks[next]);
-            sim_end = std::max(sim_end, end);
-            ++next;
-
-            // Completion of this task releases the next one. Async
-            // exchanges do not hold the serial chain back, so the next
-            // task's logical end may lie before this event's end; clamp
-            // the bookkeeping event into the present (start/end come
-            // from the resource algebra, not from event time).
-            queue.schedule(std::max(end, queue.now()), dispatch);
-        };
-        queue.schedule(0.0, dispatch);
-        queue.run();
-        HYPAR_ASSERT(next == step_tasks.size(), "task list not drained");
-        metrics.stepSeconds = sim_end;
-        return metrics;
-    }
-
-    // Steady state: the queue's dispatch chain is purely sequential
-    // (each task's completion schedules exactly the next task), so
-    // replaying the same algebra over the one-step task list `steps`
-    // times performs the identical operations in the identical order —
-    // bit-identical to the old replicate-then-queue path (pinned by
-    // tests/test_training_sim.cc) with O(1) extra memory instead of a
-    // steps * |tasks| materialized copy.
-    std::vector<double> step_finish(steps, 0.0);
+    // Step s + 1's first task follows step s's last, so the tapes run
+    // on across step boundaries: tail gradient reductions of one step
+    // drain under the next step's forward compute.
+    Tapes tapes;
+    double first_finish = 0.0;
     for (std::size_t s = 0; s < steps; ++s) {
-        for (const Task &t : step_tasks)
-            (void)applyTask(t);
-        // A step is complete once both its chain and any async
-        // stragglers scheduled so far have drained.
-        step_finish[s] = std::max(serial_free, network_free);
-    }
-    // Spacing of the step boundaries after warm-up.
-    metrics.stepSeconds =
-        (step_finish[steps - 1] - step_finish[0]) / (steps_d - 1.0);
-    return metrics;
-}
-
-TapeSchedule
-TrainingSimulator::overlapSchedule(const core::HierarchicalPlan &plan) const
-{
-    StepMetrics scratch;
-    const std::vector<Task> tasks = buildTasks(plan, scratch);
-
-    // Replay the exact resource algebra of simulateSteadyState's
-    // dispatch: compute advances the serial tape, an async exchange
-    // advances the network tape from max(network, serial), and a
-    // synchronous exchange advances the serial tape from the later of
-    // the two and joins the network tape to it.
-    TapeSchedule sched;
-    sched.tasks.reserve(tasks.size());
-    double serial = 0.0;
-    double network = 0.0;
-    double sim_end = 0.0;
-    for (const Task &t : tasks) {
-        TapeTask e;
-        e.exchange = t.kind == Task::Kind::kExchange;
-        e.async = t.async;
-        e.phase = t.phase;
-        e.seconds = t.seconds;
-        e.label = t.label;
-        if (!e.exchange) {
-            e.tape = TapeTask::Tape::kSerial;
-            e.start = serial;
-            serial += t.seconds;
-        } else if (t.async) {
-            e.tape = TapeTask::Tape::kNetwork;
-            e.start = std::max(network, serial);
-            network = e.start + t.seconds;
-        } else {
-            e.tape = TapeTask::Tape::kSerial;
-            e.start = std::max(serial, network);
-            serial = e.start + t.seconds;
-            network = serial;
+        for (const Task &t : step_tasks) {
+            Tapes::Span span;
+            if (t.kind == Task::Kind::kCompute) {
+                span = tapes.compute(t.seconds);
+                metrics.computeBusySeconds += t.seconds;
+            } else {
+                span = t.async ? tapes.asyncExchange(t.seconds)
+                               : tapes.syncExchange(t.seconds);
+                metrics.networkBusySeconds += t.seconds;
+            }
+            addPhaseSeconds(metrics.phases, t.phase, t.seconds);
+            if (options_.recordTrace)
+                trace_.push_back(TraceEntry{span.start, span.end, t.label});
         }
-        e.end = e.start + t.seconds;
-        sim_end = std::max(sim_end, e.end);
-        sched.tasks.push_back(std::move(e));
+        if (s == 0)
+            first_finish = tapes.finish();
     }
-    sched.serialEnd = serial;
-    sched.networkEnd = network;
-    sched.stepSeconds = sim_end;
-    return sched;
+    // One step ends when both tapes have drained; past one step, the
+    // cadence is the spacing of the step boundaries after warm-up.
+    metrics.stepSeconds =
+        steps == 1 ? first_finish
+                   : (tapes.finish() - first_finish) / (steps_d - 1.0);
+    return metrics;
 }
 
 namespace {
@@ -705,24 +635,18 @@ TrainingSimulator::sweepNeighborhood(
 
     // ---- per-mask replay ----------------------------------------------
     //
-    // One walk over the task slots in buildTasks' emission order (which
-    // is also the event-queue dispatch order), updating every StepMetrics
-    // accumulator with the same additions the real path performs. The
-    // chain algebra rides two tapes: compute and synchronous exchanges
-    // advance `serial` (a plain left-to-right sum — on the paper path
-    // that alone is stepSeconds), while under overlapGradComm the
-    // gradient reductions advance `network` from max(network, serial),
-    // exactly the event queue's async rule; a synchronous exchange
-    // joins the network tape back to the serial one. Flipping one
-    // layer's bit re-selects only that layer's few variant slots — the
-    // tape segments the flip actually touches — and the replay's
-    // accumulation order never changes, so every mask's StepMetrics is
-    // bit-identical to a full simulate() in both modes.
+    // One walk over the task slots in buildTasks' emission order,
+    // updating every StepMetrics accumulator with the same additions
+    // the real path performs and advancing the same two tapes
+    // simulate() replays. Flipping one layer's bit re-selects only that
+    // layer's few variant slots — the tape segments the flip actually
+    // touches — and the replay's accumulation order never changes, so
+    // every mask's StepMetrics is bit-identical to a full simulate() in
+    // both overlap modes.
     const bool overlap = options_.overlapGradComm;
     for (std::uint64_t mask = 0; mask < num_masks; ++mask) {
         StepMetrics m;
-        double serial = 0.0;
-        double network = 0.0;
+        Tapes tapes;
         if (tracing)
             trace_.clear();
         const auto bit = [&](std::size_t l) {
@@ -736,51 +660,31 @@ TrainingSimulator::sweepNeighborhood(
             m.energy.computeJ += c.computeJ;
             m.energy.sramJ += c.sramJ;
             m.energy.dramJ += c.dramJ;
-            const double start = serial;
-            serial += c.seconds;
+            const Tapes::Span span = tapes.compute(c.seconds);
             m.computeBusySeconds += c.seconds;
             phase_acc += c.seconds;
             if (tracing)
                 trace_.push_back(TraceEntry{
-                    start, serial,
+                    span.start, span.end,
                     comp_label[3 * l + static_cast<std::size_t>(phase)]});
         };
+        // `async`: an overlapped gradient reduction (network tape).
         auto tally_exchange = [&](const ExchangeContrib &c,
                                   double &phase_acc,
-                                  const std::string *label) {
+                                  const std::string *label,
+                                  bool async = false) {
             if (!c.present)
                 return;
             m.commBytes += c.globalBytes;
             m.energy.commJ += c.commJ;
             m.energy.computeJ += c.addJ;
-            // The event queue's synchronous rule verbatim. In the
-            // emitted task order network never leads serial here (all
-            // async tasks sit in the final phase), so the max is the
-            // identity and the sum stays bit-identical to the
-            // non-overlap serial chain.
-            const double start = std::max(serial, network);
-            serial = start + c.seconds;
-            network = serial;
+            const Tapes::Span span = async
+                                         ? tapes.asyncExchange(c.seconds)
+                                         : tapes.syncExchange(c.seconds);
             m.networkBusySeconds += c.seconds;
             phase_acc += c.seconds;
             if (label != nullptr)
-                trace_.push_back(TraceEntry{start, serial, *label});
-        };
-        // Overlapped gradient reduction: network-tape task.
-        auto tally_async_exchange = [&](const ExchangeContrib &c,
-                                        double &phase_acc,
-                                        const std::string *label) {
-            if (!c.present)
-                return;
-            m.commBytes += c.globalBytes;
-            m.energy.commJ += c.commJ;
-            m.energy.computeJ += c.addJ;
-            const double start = std::max(network, serial);
-            network = start + c.seconds;
-            m.networkBusySeconds += c.seconds;
-            phase_acc += c.seconds;
-            if (label != nullptr)
-                trace_.push_back(TraceEntry{start, network, *label});
+                trace_.push_back(TraceEntry{span.start, span.end, *label});
         };
 
         // forward
@@ -817,23 +721,15 @@ TrainingSimulator::sweepNeighborhood(
             tally_compute(l, kGrad, m.phases.gradient);
             for (std::size_t h = 0; h < levels; ++h) {
                 if (choice(h, l, bit(l)) == core::Parallelism::kData) {
-                    const ExchangeContrib &c =
-                        gradx[(l * levels + h) * 2 + bit(l)];
-                    const std::string *label =
-                        slot_label(gradx_label, l * levels + h);
-                    if (overlap)
-                        tally_async_exchange(c, m.phases.gradient,
-                                             label);
-                    else
-                        tally_exchange(c, m.phases.gradient, label);
+                    tally_exchange(gradx[(l * levels + h) * 2 + bit(l)],
+                                   m.phases.gradient,
+                                   slot_label(gradx_label, l * levels + h),
+                                   overlap);
                 }
             }
         }
 
-        // Both tapes are monotone, so the step ends when the later one
-        // drains (without overlap network never exceeds serial and
-        // this is the plain serial sum).
-        m.stepSeconds = std::max(serial, network);
+        m.stepSeconds = tapes.finish();
         visit(mask, m);
     }
 }

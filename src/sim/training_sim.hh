@@ -1,26 +1,30 @@
 /**
  * @file
- * Event-driven simulation of one DNN training step on the accelerator
- * array (paper Section 6.1: "We use an event-driven simulation ... we
- * modeled the computation cost and the memory access between vaults, we
- * also considered the tensor communication").
+ * Simulation of one DNN training step on the accelerator array (paper
+ * Section 6.1: "We use an event-driven simulation ... we modeled the
+ * computation cost and the memory access between vaults, we also
+ * considered the tensor communication").
  *
  * The array executes in lockstep: every accelerator holds an identical
  * shard (each hierarchy level halves either the batch or the kernel), so
  * per-layer compute is symmetric and the simulator tracks one
  * representative accelerator plus the hierarchical tensor exchanges.
  *
- * A step is a task list played through the discrete-event queue:
+ * A step is a task list whose order the data dependences fix:
  *
  *   forward   l = 0..L-1: compute; mp partial-sum reductions (intra);
  *                         dp-mp boundary feature transfers (inter-F)
  *   backward  l = L-1..1: compute; boundary error transfers (inter-E)
  *   gradient  l = 0..L-1: compute; dp gradient reductions (intra)
  *
- * Compute tasks overlap PE time with DRAM streaming (double buffering:
- * task time = max of the two). Exchanges occupy the interconnect; with
- * SimOptions::overlapGradComm the gradient reductions run asynchronously
- * on the network while later layers keep computing (the classic
+ * Each task's completion releases exactly the next one, so the paper's
+ * event-driven model is a two-tape replay of that list: the serial tape
+ * carries compute and synchronous exchanges (the lockstep chain), the
+ * network tape the interconnect's occupancy. Compute tasks overlap PE
+ * time with DRAM streaming (double buffering: task time = max of the
+ * two). Exchanges occupy the interconnect; with
+ * SimOptions::overlapGradComm the gradient reductions ride the network
+ * tape alone, draining while later layers keep computing (the classic
  * all-reduce overlap; off by default to match the paper).
  */
 
@@ -72,44 +76,6 @@ struct TraceEntry
     std::string label;
 };
 
-/**
- * One resolved task of the two-tape schedule decomposition
- * (TrainingSimulator::overlapSchedule): which tape it advanced, by how
- * much, and the start/end the event queue's resource algebra assigns
- * it. Compute tasks and synchronous exchanges ride the *serial* tape
- * (the lockstep chain); asynchronous gradient reductions ride the
- * *network* tape. A synchronous exchange additionally joins the two
- * tapes (it occupies the interconnect, so the network tape is busy
- * until it completes).
- */
-struct TapeTask
-{
-    enum class Tape { kSerial, kNetwork };
-    Tape tape = Tape::kSerial;
-    bool exchange = false; //!< occupies the interconnect
-    bool async = false;    //!< network-tape task (overlapped reduction)
-    int phase = 0;         //!< 0 fwd, 1 bwd, 2 grad
-    double seconds = 0.0;
-    double start = 0.0;
-    double end = 0.0;
-    std::string label; //!< built only under SimOptions::recordTrace
-};
-
-/**
- * The two-tape decomposition of one training step: the serial compute
- * chain and the overlapped network chain, with every task's resolved
- * start/end. `stepSeconds` is the maximum task end and equals
- * simulate()'s stepSeconds exactly (tests/test_overlap_schedule.cc
- * pins the decomposition against the event queue).
- */
-struct TapeSchedule
-{
-    std::vector<TapeTask> tasks; //!< in dispatch (emission) order
-    double serialEnd = 0.0;      //!< when the serial tape drains
-    double networkEnd = 0.0;     //!< when the network tape drains
-    double stepSeconds = 0.0;    //!< max task end == simulate()'s
-};
-
 /** Simulates training steps for one (network, array, topology) triple. */
 class TrainingSimulator
 {
@@ -142,13 +108,10 @@ class TrainingSimulator
      * waits for the network to drain), which conservatively models
      * the weight-update dependency.
      *
-     * Cost: the per-step task list is built once (reusing the
-     * prefix-count table like every other entry point) and the
-     * multi-step cadence is a replay of the dispatch resource algebra
-     * over that single list — `steps` never multiplies memory, so
-     * long-horizon cadences are cheap. Bit-identical to the old
-     * replicate-the-task-list implementation (pinned by
-     * tests/test_training_sim.cc).
+     * Cost: the per-step task list is built once and the two tapes
+     * replay it `steps` times; only the first and last step's finish
+     * times are kept, so `steps` never multiplies memory. Under
+     * recordTrace, lastTrace() holds every step's tasks in order.
      */
     StepMetrics simulateSteadyState(const core::HierarchicalPlan &plan,
                                     std::size_t steps) const;
@@ -166,15 +129,13 @@ class TrainingSimulator
      * bit-identical to a full simulate() of the substituted plan
      * (enforced by tests/test_evaluator_batch.cc).
      *
-     * Under SimOptions::overlapGradComm the same variant tables feed a
-     * *two-tape* replay: the serial compute chain and the overlapped
-     * network chain are accumulated side by side with the event
-     * queue's exact resource algebra (async reductions start at
-     * max(network, serial), synchronous exchanges join the tapes), so
-     * the async schedule is swept incrementally too — still
-     * bit-identical to per-mask simulate(). Under recordTrace the
-     * replay also emits the per-task trace from the variant tables
-     * (labels are slot functions, start/end come from the tapes), so
+     * The selected variants advance the same two tapes simulate()
+     * replays (under SimOptions::overlapGradComm the gradient
+     * reductions ride the network tape), so the overlapped schedule is
+     * swept incrementally too — still bit-identical to per-mask
+     * simulate(). Under recordTrace the replay also emits the
+     * per-task trace from the variant tables (labels are slot
+     * functions, start/end come from the tapes), so
      * lastTrace() after each visit — and after the sweep — matches a
      * direct simulate() of that mask's plan exactly; no path falls
      * back to per-mask simulation anymore.
@@ -187,29 +148,20 @@ class TrainingSimulator
             &visit) const;
 
     /**
-     * The two-tape chain decomposition of one step of `plan` under the
-     * current SimOptions: every task with its tape and resolved
-     * start/end, replayed through the exact resource algebra the event
-     * queue applies (without overlapGradComm the network tape carries
-     * no tasks of its own and the schedule degenerates to the serial
-     * chain). This is the structure the incremental overlap sweep
-     * replays; exposed so tests can pin it against the event-driven
-     * simulator. Labels are filled only under recordTrace.
+     * Trace of the most recent simulate(), simulateSteadyState() or
+     * sweep visit (needs recordTrace): every task's start, end and
+     * label, in task-list order.
      */
-    TapeSchedule overlapSchedule(const core::HierarchicalPlan &plan) const;
-
-    /** Trace of the most recent simulate() (needs recordTrace). */
     const std::vector<TraceEntry> &lastTrace() const { return trace_; }
 
     /**
-     * Approximate resident size of the simulator's precomputed state
-     * (the prefix-count table and any retained trace). Feeds the
-     * serving tier's memory-budgeted session LRU.
+     * Approximate resident size of the simulator (itself and any
+     * retained trace). Feeds the serving tier's memory-budgeted
+     * session LRU.
      */
     std::size_t approxTableBytes() const
     {
         return sizeof(TrainingSimulator) +
-               prefixDp_.capacity() * sizeof(std::uint8_t) +
                trace_.capacity() * sizeof(TraceEntry);
     }
 
@@ -228,16 +180,6 @@ class TrainingSimulator
     std::vector<Task> buildTasks(const core::HierarchicalPlan &plan,
                                  StepMetrics &metrics) const;
 
-    /**
-     * dp count among the levels above `h` for a layer whose level
-     * vector is `state` (bit h set = mp): served from prefixDp_ — the
-     * per-column prefix-count table shared across every plan this
-     * simulator scores — so buildTasks never materializes a per-plan
-     * core::History chain. Falls back to a popcount for depths beyond
-     * the table cap.
-     */
-    unsigned dpAbove(std::uint32_t state, std::size_t h) const;
-
     void addExchange(std::vector<Task> &tasks, std::size_t level,
                      double pair_bytes, bool async, int phase,
                      const char *tag, const std::string &layer_name,
@@ -249,19 +191,6 @@ class TrainingSimulator
     const noc::Topology *topo_;
     SimOptions options_;
     arch::RowStationaryMapper mapper_;
-
-    /**
-     * Shared prefix-count table: prefixDp_[s * (levels + 1) + h] is
-     * the number of dp choices among levels 0..h-1 of a layer whose
-     * level-vector state is s. The counts at level h depend only on
-     * that layer's own column bits, so one table per topology depth
-     * replaces the per-plan History chain buildTasks used to rebuild —
-     * every plan of an evaluateBatch call (and every mask of a sweep)
-     * reads the same table. Built in the constructor for depths up to
-     * kPrefixTableMaxLevels; deeper arrays use the popcount fallback.
-     */
-    static constexpr std::size_t kPrefixTableMaxLevels = 12;
-    std::vector<std::uint8_t> prefixDp_;
 
     mutable std::vector<TraceEntry> trace_;
 };

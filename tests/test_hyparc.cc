@@ -15,7 +15,6 @@
 #include <unistd.h>
 
 #include "hyparc_app.hh"
-#include "serve/server.hh"
 #include "util/logging.hh"
 
 using namespace hypar;
@@ -50,35 +49,29 @@ TEST(HyparcArgs, ParsesFlags)
     EXPECT_EQ(opts.strategy, "owt");
 }
 
-TEST(HyparcArgs, EngineFlagIsCheckedThenIgnored)
+TEST(HyparcArgs, RetiredSearchFlagsAreRejected)
 {
-    // --engine is deprecated: every accepted name parses and changes
-    // nothing (one exact A* search answers every depth, past the old
-    // dense ceiling too); any other name is rejected.
-    for (const std::string levels : {"4", "12"}) {
-        const std::vector<std::string> base = {
-            "plan",     "--model",   "Lenet-c", "--levels",
-            levels,     "--strategy", "optimal", "--verbose"};
-        const std::string plain = run(base);
-        EXPECT_NE(plain.find("total communication"), std::string::npos);
-        for (const char *engine : serve::kEngineNames) {
-            std::vector<std::string> args = base;
-            args.insert(args.end(), {"--engine", engine});
-            EXPECT_EQ(run(args), plain) << levels << " " << engine;
+    // --engine picked among deleted search engines and --beam-width
+    // tuned one of them; after their deprecation release both are
+    // unknown flags, whatever the value.
+    for (const std::vector<std::string> flag :
+         {std::vector<std::string>{"--engine", "auto"},
+          {"--engine", "astar"},
+          {"--engine", "bogus"},
+          {"--beam-width", "64"}}) {
+        std::vector<std::string> args = {"plan", "--model", "Lenet-c",
+                                         "--strategy", "optimal"};
+        args.insert(args.end(), flag.begin(), flag.end());
+        try {
+            parseArgs(args);
+            ADD_FAILURE() << flag[0] << " " << flag[1] << " parsed";
+        } catch (const util::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("unknown flag '" +
+                                                 flag[0] + "'"),
+                      std::string::npos)
+                << e.what();
         }
     }
-    EXPECT_THROW(parseArgs({"plan", "--model", "Lenet-c", "--strategy",
-                            "optimal", "--engine", "bogus"}),
-                 util::FatalError);
-}
-
-TEST(HyparcArgs, RetiredBeamWidthFlagIsRejected)
-{
-    // --beam-width tuned the deleted beam engine; after its
-    // deprecation release it is an unknown flag.
-    EXPECT_THROW(parseArgs({"plan", "--model", "Lenet-c", "--strategy",
-                            "optimal", "--beam-width", "64"}),
-                 util::FatalError);
 }
 
 TEST(HyparcArgs, Rejections)

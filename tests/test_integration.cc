@@ -1,9 +1,10 @@
 /**
  * @file
  * End-to-end integration tests: the full pipeline (model zoo ->
- * communication model -> Algorithm 2 -> event-driven simulation ->
- * figures' aggregate claims) exercised exactly the way the benchmark
- * harness drives it.
+ * communication model -> Algorithm 2 -> training-step simulation, the
+ * two-tape replay of the paper's event-driven model -> figures'
+ * aggregate claims) exercised exactly the way the benchmark harness
+ * drives it.
  */
 
 #include <gtest/gtest.h>

@@ -1,12 +1,11 @@
 /**
  * @file
- * Unit tests for the two-tape decomposition of the overlapped
- * gradient-communication schedule (TrainingSimulator::overlapSchedule
- * and the overlap branch of sweepNeighborhood): on hand-computable
- * 2-3 layer networks the serial/network chain split must reproduce the
- * event-driven simulator exactly — same task times, same step latency —
- * and the recordTrace interaction (the one remaining sweep fallback)
- * must stay consistent.
+ * Unit tests for the two-tape replay of a training step (serial tape:
+ * compute and synchronous exchanges; network tape: the overlapped
+ * gradient reductions), read through the per-task trace simulate()
+ * records: on hand-computable networks every task's start must follow
+ * the tape rules exactly, and the sweep's variant replay must emit the
+ * same trace as a direct simulate() of each mask's plan.
  */
 
 #include <gtest/gtest.h>
@@ -25,8 +24,7 @@ using core::CommModel;
 using core::HierarchicalPlan;
 using core::Parallelism;
 using sim::SimOptions;
-using sim::TapeSchedule;
-using sim::TapeTask;
+using sim::TraceEntry;
 using sim::TrainingSimulator;
 
 namespace {
@@ -65,152 +63,126 @@ threeLayerNet()
     return b.build();
 }
 
-} // namespace
-
-// The two-tape schedule must reproduce the event queue exactly: with
-// recordTrace on, every resolved (start, end, label) of the schedule
-// equals the trace the event-driven simulate() emits, and the tape
-// ends bound the step.
-TEST(OverlapSchedule, MatchesEventQueueTraceTaskByTask)
+/** True for an overlapped gradient reduction's trace label. */
+bool
+isGradx(const TraceEntry &e)
 {
-    for (const bool overlap : {false, true}) {
-        SimOptions opts;
-        opts.overlapGradComm = overlap;
-        opts.recordTrace = true;
-        Rig rig(threeLayerNet(), 2, opts);
-
-        HierarchicalPlan plan;
-        plan.levels = {{Parallelism::kData, Parallelism::kModel,
-                        Parallelism::kData},
-                       {Parallelism::kData, Parallelism::kData,
-                        Parallelism::kModel}};
-
-        const auto metrics = rig.simulator.simulate(plan);
-        const auto &trace = rig.simulator.lastTrace();
-        const TapeSchedule sched = rig.simulator.overlapSchedule(plan);
-
-        ASSERT_EQ(sched.tasks.size(), trace.size());
-        for (std::size_t i = 0; i < trace.size(); ++i) {
-            EXPECT_EQ(sched.tasks[i].start, trace[i].start)
-                << "task " << i << " overlap " << overlap;
-            EXPECT_EQ(sched.tasks[i].end, trace[i].end)
-                << "task " << i << " overlap " << overlap;
-            EXPECT_EQ(sched.tasks[i].label, trace[i].label)
-                << "task " << i << " overlap " << overlap;
-        }
-        EXPECT_EQ(sched.stepSeconds, metrics.stepSeconds);
-        EXPECT_EQ(sched.stepSeconds,
-                  std::max(sched.serialEnd, sched.networkEnd));
-    }
+    return e.label.rfind("gradx:", 0) == 0;
 }
 
-// Without overlap every task rides the serial tape and the step is the
-// plain sum of all task durations.
+/** True for a compute task's trace label. */
+bool
+isCompute(const TraceEntry &e)
+{
+    for (const char *tag : {"fwd:", "bwd:", "grad:"})
+        if (e.label.rfind(tag, 0) == 0)
+            return true;
+    return false;
+}
+
+} // namespace
+
+// Without overlap every task rides the serial tape: the trace is one
+// unbroken chain from 0, and the step ends with its last task.
 TEST(OverlapSchedule, DegeneratesToSerialChainWithoutOverlap)
 {
-    Rig rig(twoLayerNet(), 2);
+    SimOptions opts;
+    opts.recordTrace = true;
+    Rig rig(twoLayerNet(), 2, opts);
     const auto plan = core::makeDataParallelPlan(rig.net, 2);
-    const TapeSchedule sched = rig.simulator.overlapSchedule(plan);
+    const auto metrics = rig.simulator.simulate(plan);
+    const auto &t = rig.simulator.lastTrace();
 
-    ASSERT_FALSE(sched.tasks.empty());
-    double sum = 0.0;
-    for (const auto &t : sched.tasks) {
-        EXPECT_EQ(t.tape, TapeTask::Tape::kSerial);
-        EXPECT_FALSE(t.async);
-        EXPECT_EQ(t.start, sum);
-        sum += t.seconds;
-        EXPECT_EQ(t.end, sum);
-    }
-    EXPECT_EQ(sched.stepSeconds, sched.serialEnd);
-    EXPECT_EQ(sched.stepSeconds,
-              rig.simulator.simulate(plan).stepSeconds);
+    ASSERT_FALSE(t.empty());
+    EXPECT_EQ(t[0].start, 0.0);
+    for (std::size_t i = 1; i < t.size(); ++i)
+        EXPECT_EQ(t[i].start, t[i - 1].end) << i;
+    EXPECT_EQ(metrics.stepSeconds, t.back().end);
 }
 
 // Hand-computable all-dp two-layer case at H = 1: the task list is
 // fwd0 fwd1 bwd1 grad0 gradx0 grad1 gradx1 (dp-dp boundaries move no
-// tensors), the gradient reductions ride the network tape, and the
-// two-tape recurrence resolves by hand:
+// tensors), and the gradient reductions ride the network tape:
 //
-//   serial  = c_f0 + c_f1 + c_b1 + c_g0 + c_g1
-//   n0      = (c_f0 + c_f1 + c_b1 + c_g0) + e0   (network was idle)
-//   n1      = max(n0, serial) + e1
-//   step    = max(serial, n1)
+//   gradx0 starts when grad0 ends (the network was idle);
+//   grad1  starts when grad0 ends too (gradx0 does not block compute);
+//   gradx1 starts when both the network (gradx0) and its data (grad1)
+//          are ready;
+//   the step ends when the later tape drains.
 TEST(OverlapSchedule, HandComputedTwoLayerAllDp)
 {
     SimOptions opts;
     opts.overlapGradComm = true;
+    opts.recordTrace = true;
     Rig rig(twoLayerNet(), 1, opts);
     const auto plan = core::makeDataParallelPlan(rig.net, 1);
-    const TapeSchedule sched = rig.simulator.overlapSchedule(plan);
+    const auto metrics = rig.simulator.simulate(plan);
+    const auto &t = rig.simulator.lastTrace();
 
-    ASSERT_EQ(sched.tasks.size(), 7u);
-    const auto &t = sched.tasks;
-    // Tape and phase assignment.
-    for (const std::size_t i : {0u, 1u, 2u, 3u, 5u}) {
-        EXPECT_EQ(t[i].tape, TapeTask::Tape::kSerial) << i;
-        EXPECT_FALSE(t[i].exchange) << i;
-    }
-    for (const std::size_t i : {4u, 6u}) {
-        EXPECT_EQ(t[i].tape, TapeTask::Tape::kNetwork) << i;
-        EXPECT_TRUE(t[i].exchange) << i;
-        EXPECT_TRUE(t[i].async) << i;
-        EXPECT_EQ(t[i].phase, 2) << i;
-    }
+    ASSERT_EQ(t.size(), 7u);
+    const char *labels[] = {"fwd:fc1",  "fwd:fc2",        "bwd:fc2",
+                            "grad:fc1", "gradx:fc1@H1",   "grad:fc2",
+                            "gradx:fc2@H1"};
+    for (std::size_t i = 0; i < t.size(); ++i)
+        EXPECT_EQ(t[i].label, labels[i]) << i;
 
-    // The recurrence, replayed by hand from the task durations.
-    const double serial_at_g0 =
-        t[0].seconds + t[1].seconds + t[2].seconds + t[3].seconds;
-    const double serial = serial_at_g0 + t[5].seconds;
-    const double n0 = serial_at_g0 + t[4].seconds;
-    const double n1 = std::max(n0, serial) + t[6].seconds;
+    // The serial chain up to grad0.
+    EXPECT_EQ(t[0].start, 0.0);
+    for (const std::size_t i : {1u, 2u, 3u})
+        EXPECT_EQ(t[i].start, t[i - 1].end) << i;
 
-    EXPECT_EQ(t[4].start, serial_at_g0);
-    EXPECT_EQ(t[4].end, n0);
-    EXPECT_EQ(t[6].end, n1);
-    EXPECT_EQ(sched.serialEnd, serial);
-    EXPECT_EQ(sched.networkEnd, n1);
-    EXPECT_EQ(sched.stepSeconds, std::max(serial, n1));
-    EXPECT_EQ(sched.stepSeconds,
-              rig.simulator.simulate(plan).stepSeconds);
+    EXPECT_EQ(t[4].start, t[3].end);
+    EXPECT_EQ(t[5].start, t[3].end);
+    EXPECT_EQ(t[6].start, std::max(t[4].end, t[5].end));
+    EXPECT_EQ(metrics.stepSeconds, std::max(t[5].end, t[6].end));
 
-    // Overlap hides all but the tail reduction: the step is strictly
-    // shorter than the serialized schedule.
-    double total = 0.0;
-    for (const auto &task : sched.tasks)
-        total += task.seconds;
-    EXPECT_LT(sched.stepSeconds, total);
+    // Overlap hides the first reduction under grad1's compute.
+    EXPECT_LT(t[5].start, t[4].end);
 }
 
 // With overlap on, the network tape carries exactly the gradient
-// reductions; forward/backward exchanges stay synchronous and join the
-// tapes (a later async task can never start before them).
+// reductions: the task list is the one the serial schedule runs, a
+// reduction never starts before its data (the last compute) or before
+// the last synchronous exchange ends, and a synchronous exchange waits
+// for every earlier task, the overlapped ones included.
 TEST(OverlapSchedule, NetworkTapeCarriesExactlyTheGradientReductions)
 {
-    SimOptions opts;
+    SimOptions serial_opts;
+    serial_opts.recordTrace = true;
+    SimOptions opts = serial_opts;
     opts.overlapGradComm = true;
+    Rig serial_rig(dnn::makeLenetC(), 4, serial_opts);
     Rig rig(dnn::makeLenetC(), 4, opts);
     const auto plan = core::makeHyparPlan(rig.model, 4);
-    const TapeSchedule sched = rig.simulator.overlapSchedule(plan);
+    (void)serial_rig.simulator.simulate(plan);
+    const auto metrics = rig.simulator.simulate(plan);
+    const auto &serial = serial_rig.simulator.lastTrace();
+    const auto &t = rig.simulator.lastTrace();
 
+    ASSERT_EQ(t.size(), serial.size());
+    double last_compute_end = 0.0;
     double last_sync_end = 0.0;
+    double max_end = 0.0;
     std::size_t async_count = 0;
     std::size_t sync_exchanges = 0;
-    for (const auto &t : sched.tasks) {
-        if (t.tape == TapeTask::Tape::kNetwork) {
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        EXPECT_EQ(t[i].label, serial[i].label) << i;
+        if (isGradx(t[i])) {
             ++async_count;
-            EXPECT_TRUE(t.exchange);
-            EXPECT_EQ(t.phase, 2); // gradient reductions only
-            EXPECT_GE(t.start, last_sync_end);
-        } else if (t.exchange) {
+            EXPECT_GE(t[i].start, last_compute_end) << i;
+            EXPECT_GE(t[i].start, last_sync_end) << i;
+        } else if (isCompute(t[i])) {
+            last_compute_end = t[i].end;
+        } else {
             ++sync_exchanges;
-            EXPECT_FALSE(t.async);
-            last_sync_end = t.end;
+            EXPECT_GE(t[i].start, max_end) << i;
+            last_sync_end = t[i].end;
         }
+        max_end = std::max(max_end, t[i].end);
     }
     EXPECT_GT(async_count, 0u);
     EXPECT_GT(sync_exchanges, 0u);
-    EXPECT_EQ(sched.stepSeconds,
-              rig.simulator.simulate(plan).stepSeconds);
+    EXPECT_EQ(metrics.stepSeconds, max_end);
 }
 
 // Tracing sweeps replay the variant tables too (the fallback to

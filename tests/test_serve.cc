@@ -6,7 +6,7 @@
  * corrupt-entry quarantine, --no-cache bypass), the warm-session LRU,
  * and the server protocol end to end — including the acceptance
  * differential: a warm-cache plan is bit-identical to a cold search
- * across engines and across thread counts.
+ * across thread counts.
  */
 
 #include <filesystem>
@@ -542,16 +542,6 @@ struct PlanResponse
     }
 };
 
-/** Number of stored plan entries in a cache directory. */
-std::size_t
-cacheFiles(const fs::path &dir)
-{
-    std::size_t entries = 0;
-    for (const auto &e : fs::directory_iterator(dir))
-        entries += e.path().extension() == ".json" ? 1u : 0u;
-    return entries;
-}
-
 } // namespace
 
 TEST(Server, WarmCachePlanIsBitIdenticalToColdSearch)
@@ -935,60 +925,19 @@ TEST(Server, ErrorResponsesEchoTheOpWhenItParsed)
     EXPECT_EQ(serve::JsonValue::parse(responses[3]).find("op"), nullptr);
 }
 
-TEST(Server, EveryEngineNameSharesOnePlanHashAndCacheEntry)
+TEST(Server, RetiredSearchFieldsAreUnknownFields)
 {
-    // `engine` is deprecated: every accepted name runs the same exact
-    // search, so with or without the field a request is one key, one
-    // stored entry, and every later name hits it — on both sides of
-    // the old dense/A* split at H = 10.
-    TempDir tmp("serve_engine_key");
-    serve::ServeOptions opts;
-    opts.cacheDir = tmp.path;
-    serve::Server server(opts);
-
-    for (const std::string levels : {"2", "12"}) {
-        const std::string prefix =
-            R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)"
-            R"("levels":)" + levels;
-        const PlanResponse first =
-            PlanResponse::parse(runBatch(server, {prefix + "}"}).at(0));
-        EXPECT_EQ(first.cacheOutcome, "miss") << levels;
-        for (const char *engine : serve::kEngineNames) {
-            const std::string line =
-                prefix + R"(,"engine":")" + engine + "\"}";
-            const PlanResponse r =
-                PlanResponse::parse(runBatch(server, {line}).at(0));
-            EXPECT_EQ(r.cacheOutcome, "hit") << levels << engine;
-            EXPECT_EQ(r.planHash, first.planHash) << levels << engine;
-            EXPECT_EQ(r.planBits, first.planBits) << levels << engine;
-            EXPECT_EQ(r.commBytes, first.commBytes) << levels << engine;
-            EXPECT_EQ(r.transitions, first.transitions)
-                << levels << engine;
-        }
-    }
-    EXPECT_EQ(server.cache().stats().stores, 2u);
-    EXPECT_EQ(cacheFiles(tmp.path), 2u);
-
-    // Any other name is still an in-band error.
-    const serve::JsonValue bad = serve::JsonValue::parse(
-        runBatch(server, {R"({"op":"plan","model":"Lenet-c",)"
-                          R"("strategy":"optimal","engine":"warp"})"})
-            .at(0));
-    EXPECT_FALSE(bad.find("ok")->asBool());
-    EXPECT_NE(bad.find("error")->asString().find("warp"),
-              std::string::npos);
-}
-
-TEST(Server, RetiredBeamFieldsAreUnknownFields)
-{
-    // beam_width and width_hint tuned the deleted beam engine; after
-    // their deprecation release they are unknown fields like any typo.
+    // engine picked among deleted search engines, and beam_width and
+    // width_hint tuned one of them; after their deprecation release
+    // they are unknown fields like any typo, whatever the value.
     serve::ServeOptions opts;
     opts.noCache = true;
     serve::Server server(opts);
 
     for (const std::string field :
-         {R"("beam_width":64)", R"("width_hint":8)"}) {
+         {R"("engine":"auto")", R"("engine":"astar")",
+          R"("engine":"warp")", R"("beam_width":64)",
+          R"("width_hint":8)"}) {
         const std::string line =
             R"({"op":"plan","model":"Lenet-c","strategy":"optimal",)" +
             field + "}";
@@ -1030,6 +979,48 @@ TEST(Server, OutOfRangeNumbersAnswerInBandWithTheOp)
     const serve::JsonValue ok = serve::JsonValue::parse(
         runBatch(server, {R"({"op":"plan","model":"Lenet-c"})"}).at(0));
     EXPECT_TRUE(ok.find("ok")->asBool());
+}
+
+TEST(Server, DepthFieldsAreCheckedBeforeAnyAllocation)
+{
+    // Depth fields past what the array, the exact search or the swept
+    // plan can hold are in-band errors naming the field, raised in the
+    // parse pass — not a length_error or an internal fatal from deep
+    // inside the stack — and the line after them is still served.
+    serve::ServeOptions opts;
+    opts.noCache = true;
+    serve::Server server(opts);
+
+    const std::vector<std::string> responses = runBatch(
+        server,
+        {R"({"op":"plan","model":"Lenet-c","levels":1e19})",
+         R"({"op":"plan","model":"Lenet-c","levels":17,)"
+         R"("strategy":"optimal"})",
+         R"({"op":"evaluate","model":"Lenet-c","levels":21})",
+         R"({"op":"sweep","model":"Lenet-c","levels":4,"level":9})",
+         R"({"op":"plan","model":"Lenet-c"})"});
+    ASSERT_EQ(responses.size(), 5u);
+    const struct
+    {
+        const char *op;
+        const char *error;
+    } expected[] = {
+        {"plan", "fatal: request field 'levels' must be at most 20"},
+        {"plan", "fatal: request field 'levels' must be at most 16 with "
+                 "strategy 'optimal'"},
+        {"evaluate", "fatal: request field 'levels' must be at most 20"},
+        {"sweep",
+         "fatal: request field 'level' must be below 'levels' (4)"},
+    };
+    for (std::size_t i = 0; i < 4; ++i) {
+        const serve::JsonValue v = serve::JsonValue::parse(responses[i]);
+        EXPECT_FALSE(v.find("ok")->asBool()) << responses[i];
+        ASSERT_NE(v.find("op"), nullptr) << responses[i];
+        EXPECT_EQ(v.find("op")->asString(), expected[i].op);
+        EXPECT_EQ(v.find("error")->asString(), expected[i].error);
+    }
+    EXPECT_TRUE(serve::JsonValue::parse(responses[4]).find("ok")->asBool())
+        << responses[4];
 }
 
 TEST(Server, DeeplyNestedLineAnswersInBandAndServingContinues)
@@ -1117,9 +1108,9 @@ TEST(Server, RejectedRequestsNeverTouchTheSessionRegistry)
          R"("faults":{"nodes":[[99,0.5]]}})",
          // distinct context that would evict, but the strategy is bad
          R"({"op":"evaluate","model":"SFC","strategy":"bogus"})",
-         // distinct context with an unknown engine name
+         // distinct context with a retired field
          R"({"op":"plan","model":"SFC","strategy":"optimal",)"
-         R"("engine":"warp"})"});
+         R"("engine":"astar"})"});
     for (const std::string &line : responses)
         EXPECT_FALSE(serve::JsonValue::parse(line).find("ok")->asBool())
             << line;

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "core/strategies.hh"
 #include "dnn/model_zoo.hh"
 #include "noc/htree.hh"
+#include "sim/evaluator.hh"
 #include "sim/training_sim.hh"
 #include "util/logging.hh"
 
@@ -36,6 +40,169 @@ struct Rig
     CommModel model;
     noc::HTreeTopology topo;
     TrainingSimulator simulator;
+};
+
+/**
+ * Every StepMetrics field as C99 hex floats (exact bits), in
+ * declaration order: stepSeconds, computeBusySeconds,
+ * networkBusySeconds, commBytes, phases (forward, backward, gradient),
+ * energy (computeJ, sramJ, dramJ, commJ).
+ */
+std::string
+hexMetrics(const sim::StepMetrics &m)
+{
+    const double fields[] = {
+        m.stepSeconds,      m.computeBusySeconds, m.networkBusySeconds,
+        m.commBytes,        m.phases.forward,     m.phases.backward,
+        m.phases.gradient,  m.energy.computeJ,    m.energy.sramJ,
+        m.energy.dramJ,     m.energy.commJ};
+    std::string out;
+    for (const double v : fields) {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%a", v);
+        if (!out.empty())
+            out += ' ';
+        out += buf;
+    }
+    return out;
+}
+
+/** One pinned simulate() result (H = 4, default configs). */
+struct GoldenStep
+{
+    const char *model;
+    const char *topology; //!< "htree" or "torus"
+    core::Strategy strategy;
+    bool overlap;
+    const char *metrics; //!< hexMetrics() of the result
+};
+
+// Recorded from the discrete-event simulator the two-tape replay
+// replaced; any change to the step model or its float operation order
+// shows up here. Recorded on x86-64, where the default flags emit no
+// fused multiply-add; a target that fuses a * b + c may differ in the
+// last bits.
+const GoldenStep kGoldenSteps[] = {
+    {"Lenet-c", "htree", core::Strategy::kHypar, false,
+     "0x1.12acba452979cp-6 0x1.2b52d17cd9acdp-8 0x1.8fb00bcbe61dp-7 "
+     "0x1.2981ep+24 0x1.08c962a08d392p-8 0x1.9eda03a55f58ep-9 "
+     "0x1.393e4250b480ap-7 0x1.fcf2feeed90d9p-8 0x1.3b247f776aabep-7 "
+     "0x1.f050fc9a0974p-7 0x1.ec209e89da102p-8"},
+    {"Lenet-c", "htree", core::Strategy::kHypar, true,
+     "0x1.0f7e55663afaap-6 0x1.2b52d17cd9acdp-8 0x1.8fb00bcbe61dp-7 "
+     "0x1.2981ep+24 0x1.08c962a08d392p-8 0x1.9eda03a55f58ep-9 "
+     "0x1.393e4250b480ap-7 0x1.fcf2feeed90d9p-8 0x1.3b247f776aabep-7 "
+     "0x1.f050fc9a0974p-7 0x1.ec209e89da102p-8"},
+    {"Lenet-c", "htree", core::Strategy::kDataParallel, false,
+     "0x1.2dfaecb976154p-5 0x1.2b52d17cd9acdp-8 0x1.08909289dadfbp-5 "
+     "0x1.8a227p+25 0x1.9a9a3625bc3dcp-10 0x1.7816d9a7ee37dp-10 "
+     "0x1.1565643b08c19p-5 0x1.fd6c67ca4e1e3p-8 0x1.3d8807063fc65p-7 "
+     "0x1.eaa415ceea4d7p-6 0x1.3dcb4540da6e6p-6"},
+    {"Lenet-c", "htree", core::Strategy::kDataParallel, true,
+     "0x1.2c63ba49fed5bp-5 0x1.2b52d17cd9acdp-8 0x1.08909289dadfbp-5 "
+     "0x1.8a227p+25 0x1.9a9a3625bc3dcp-10 0x1.7816d9a7ee37dp-10 "
+     "0x1.1565643b08c19p-5 0x1.fd6c67ca4e1e3p-8 0x1.3d8807063fc65p-7 "
+     "0x1.eaa415ceea4d7p-6 0x1.3dcb4540da6e6p-6"},
+    {"Lenet-c", "htree", core::Strategy::kModelParallel, false,
+     "0x1.593760de0b203p-2 0x1.2b52d17cd9acdp-8 0x1.548a159817b96p-2 "
+     "0x1.fb6cp+28 0x1.2d0bcca868cfdp-2 0x1.5487cffbe4a0bp-5 "
+     "0x1.9a9a3625bc3dcp-10 0x1.0240f26d811c1p-7 0x1.3a8b9d93b5653p-7 "
+     "0x1.7e01b312776p-4 0x1.99237a480d929p-3"},
+    {"Lenet-c", "htree", core::Strategy::kModelParallel, true,
+     "0x1.593760de0b203p-2 0x1.2b52d17cd9acdp-8 0x1.548a159817b96p-2 "
+     "0x1.fb6cp+28 0x1.2d0bcca868cfdp-2 0x1.5487cffbe4a0bp-5 "
+     "0x1.9a9a3625bc3dcp-10 0x1.0240f26d811c1p-7 0x1.3a8b9d93b5653p-7 "
+     "0x1.7e01b312776p-4 0x1.99237a480d929p-3"},
+    {"Lenet-c", "torus", core::Strategy::kHypar, false,
+     "0x1.524f6783bb85dp-6 0x1.2b52d17cd9acdp-8 0x1.077ab324851a9p-6 "
+     "0x1.2981ep+24 0x1.442b387e7abfbp-8 0x1.ea1cf816b5dd6p-9 "
+     "0x1.8801f4c28c346p-7 0x1.fcf2feeed90d9p-8 0x1.3b247f776aabep-7 "
+     "0x1.f050fc9a0974p-7 0x1.b3dd9e4673a22p-8"},
+    {"Lenet-c", "torus", core::Strategy::kHypar, true,
+     "0x1.4f076cd1918adp-6 0x1.2b52d17cd9acdp-8 0x1.077ab324851a9p-6 "
+     "0x1.2981ep+24 0x1.442b387e7abfbp-8 0x1.ea1cf816b5dd6p-9 "
+     "0x1.8801f4c28c346p-7 0x1.fcf2feeed90d9p-8 0x1.3b247f776aabep-7 "
+     "0x1.f050fc9a0974p-7 0x1.b3dd9e4673a22p-8"},
+    {"Lenet-c", "torus", core::Strategy::kDataParallel, false,
+     "0x1.62d58a295e04bp-5 0x1.2b52d17cd9acdp-8 0x1.3d6b2ff9c2cf2p-5 "
+     "0x1.8a227p+25 0x1.9a9a3625bc3dcp-10 0x1.7816d9a7ee37dp-10 "
+     "0x1.4a4001aaf0b11p-5 0x1.fd6c67ca4e1e3p-8 0x1.3d8807063fc65p-7 "
+     "0x1.eaa415ceea4d7p-6 0x1.1f19174a96c98p-6"},
+    {"Lenet-c", "torus", core::Strategy::kDataParallel, true,
+     "0x1.61318cd049074p-5 0x1.2b52d17cd9acdp-8 0x1.3d6b2ff9c2cf2p-5 "
+     "0x1.8a227p+25 0x1.9a9a3625bc3dcp-10 0x1.7816d9a7ee37dp-10 "
+     "0x1.4a4001aaf0b11p-5 0x1.fd6c67ca4e1e3p-8 0x1.3d8807063fc65p-7 "
+     "0x1.eaa415ceea4d7p-6 0x1.1f19174a96c98p-6"},
+    {"Lenet-c", "torus", core::Strategy::kModelParallel, false,
+     "0x1.9d4fb136e907dp-2 0x1.2b52d17cd9acdp-8 0x1.98a265f0f5a1p-2 "
+     "0x1.fb6cp+28 0x1.68ed59f69a8c1p-2 0x1.963de85145fc2p-5 "
+     "0x1.9a9a3625bc3dcp-10 0x1.0240f26d811c1p-7 0x1.3a8b9d93b5653p-7 "
+     "0x1.7e01b312776p-4 0x1.719e98a6e95a3p-3"},
+    {"Lenet-c", "torus", core::Strategy::kModelParallel, true,
+     "0x1.9d4fb136e907dp-2 0x1.2b52d17cd9acdp-8 0x1.98a265f0f5a1p-2 "
+     "0x1.fb6cp+28 0x1.68ed59f69a8c1p-2 0x1.963de85145fc2p-5 "
+     "0x1.9a9a3625bc3dcp-10 0x1.0240f26d811c1p-7 0x1.3a8b9d93b5653p-7 "
+     "0x1.7e01b312776p-4 0x1.719e98a6e95a3p-3"},
+    {"VGG-A", "htree", core::Strategy::kHypar, false,
+     "0x1.38631943b7a95p+3 0x1.1537e461adb3cp+3 0x1.1959a7104fae7p+0 "
+     "0x1.a33ba8p+30 0x1.8dbc44d634c15p+1 0x1.88497ad69937ap+1 "
+     "0x1.cb86a56210ad4p+1 0x1.ac799836d3bdcp+4 0x1.eea9a5b1221cfp+4 "
+     "0x1.60accee4aeddap+2 0x1.52ad32fa77105p-1"},
+    {"VGG-A", "htree", core::Strategy::kHypar, true,
+     "0x1.26783ff4536afp+3 0x1.1537e461adb3cp+3 0x1.1959a7104fae7p+0 "
+     "0x1.a33ba8p+30 0x1.8dbc44d634c15p+1 0x1.88497ad69937ap+1 "
+     "0x1.cb86a56210ad4p+1 0x1.ac799836d3bdcp+4 0x1.eea9a5b1221cfp+4 "
+     "0x1.60accee4aeddap+2 0x1.52ad32fa77105p-1"},
+    {"VGG-A", "htree", core::Strategy::kDataParallel, false,
+     "0x1.2a07fbd9cd07cp+4 0x1.1537e461adb3cp+3 0x1.3ed81351ec5bcp+3 "
+     "0x1.db1d15p+33 0x1.7308a226f2c9ep+1 0x1.6ece4d38d13b2p+1 "
+     "0x1.9b9a3bdba90e4p+3 0x1.ac86aa963a4bp+4 0x1.ef1b968866f21p+4 "
+     "0x1.6c11f5f08d695p+3 0x1.7f1690e3e3d79p+2"},
+    {"VGG-A", "htree", core::Strategy::kDataParallel, true,
+     "0x1.21128f321ae88p+4 0x1.1537e461adb3cp+3 0x1.3ed81351ec5bcp+3 "
+     "0x1.db1d15p+33 0x1.7308a226f2c9ep+1 0x1.6ece4d38d13b2p+1 "
+     "0x1.9b9a3bdba90e4p+3 0x1.ac86aa963a4bp+4 0x1.ef1b968866f21p+4 "
+     "0x1.6c11f5f08d695p+3 0x1.7f1690e3e3d79p+2"},
+    {"VGG-A", "htree", core::Strategy::kModelParallel, false,
+     "0x1.656d7ae96f089p+7 0x1.1537e461adb3cp+3 0x1.5419fca3542d6p+7 "
+     "0x1.faca66p+37 0x1.234f878a7e234p+7 0x1.e28e86b2a8d0ep+4 "
+     "0x1.7308a226f2c9ep+1 0x1.ad72b95a490bap+4 0x1.eea9a5b1221cfp+4 "
+     "0x1.9f6a3ea643a24p+5 0x1.98a12d4c35a6p+6"},
+    {"VGG-A", "htree", core::Strategy::kModelParallel, true,
+     "0x1.656d7ae96f089p+7 0x1.1537e461adb3cp+3 0x1.5419fca3542d6p+7 "
+     "0x1.faca66p+37 0x1.234f878a7e234p+7 0x1.e28e86b2a8d0ep+4 "
+     "0x1.7308a226f2c9ep+1 0x1.ad72b95a490bap+4 0x1.eea9a5b1221cfp+4 "
+     "0x1.9f6a3ea643a24p+5 0x1.98a12d4c35a6p+6"},
+    {"VGG-A", "torus", core::Strategy::kHypar, false,
+     "0x1.3fba70581b8ecp+3 0x1.1537e461adb3cp+3 0x1.54145fb36ed7ep+0 "
+     "0x1.a33ba8p+30 0x1.944ed7149046ap+1 0x1.8d61f04357d1dp+1 "
+     "0x1.dd38fa0886222p+1 0x1.ac799836d3bdcp+4 0x1.eea9a5b1221cfp+4 "
+     "0x1.60accee4aeddap+2 0x1.3181b747328adp-1"},
+    {"VGG-A", "torus", core::Strategy::kHypar, true,
+     "0x1.2cc8b42b07066p+3 0x1.1537e461adb3cp+3 0x1.54145fb36ed7ep+0 "
+     "0x1.a33ba8p+30 0x1.944ed7149046ap+1 0x1.8d61f04357d1dp+1 "
+     "0x1.dd38fa0886222p+1 0x1.ac799836d3bdcp+4 0x1.eea9a5b1221cfp+4 "
+     "0x1.60accee4aeddap+2 0x1.3181b747328adp-1"},
+    {"VGG-A", "torus", core::Strategy::kDataParallel, false,
+     "0x1.49ea4f6bc56d5p+4 0x1.1537e461adb3cp+3 0x1.7e9cba75dd26fp+3 "
+     "0x1.db1d15p+33 0x1.7308a226f2c9ep+1 0x1.6ece4d38d13b2p+1 "
+     "0x1.db5ee2ff99d95p+3 0x1.ac86aa963a4bp+4 0x1.ef1b968866f21p+4 "
+     "0x1.6c11f5f08d695p+3 0x1.5a15d7423dd5bp+2"},
+    {"VGG-A", "torus", core::Strategy::kDataParallel, true,
+     "0x1.407171553b293p+4 0x1.1537e461adb3cp+3 0x1.7e9cba75dd26fp+3 "
+     "0x1.db1d15p+33 0x1.7308a226f2c9ep+1 0x1.6ece4d38d13b2p+1 "
+     "0x1.db5ee2ff99d95p+3 0x1.ac86aa963a4bp+4 0x1.ef1b968866f21p+4 "
+     "0x1.6c11f5f08d695p+3 0x1.5a15d7423dd5bp+2"},
+    {"VGG-A", "torus", core::Strategy::kModelParallel, false,
+     "0x1.a972a87c24582p+7 0x1.1537e461adb3cp+3 0x1.981f2a36097cdp+7 "
+     "0x1.faca66p+37 0x1.5c69cc58e44dbp+7 0x1.1cf2e66a90fbcp+5 "
+     "0x1.7308a226f2c9ep+1 0x1.ad72b95a490bap+4 0x1.eea9a5b1221cfp+4 "
+     "0x1.9f6a3ea643a24p+5 0x1.7128e1a64d8edp+6"},
+    {"VGG-A", "torus", core::Strategy::kModelParallel, true,
+     "0x1.a972a87c24582p+7 0x1.1537e461adb3cp+3 0x1.981f2a36097cdp+7 "
+     "0x1.faca66p+37 0x1.5c69cc58e44dbp+7 0x1.1cf2e66a90fbcp+5 "
+     "0x1.7308a226f2c9ep+1 0x1.ad72b95a490bap+4 0x1.eea9a5b1221cfp+4 "
+     "0x1.9f6a3ea643a24p+5 0x1.7128e1a64d8edp+6"},
 };
 
 } // namespace
@@ -199,45 +366,46 @@ TEST(TrainingSim, SteadyStateOverlapPipelinesGradients)
 
 TEST(TrainingSim, SteadyStateMatchesReplicatedTapeReplay)
 {
-    // Bit-identity regression for the no-replication rewrite: the
-    // steady-state cadence must equal a reference that *materializes*
-    // the replicated schedule — the one-step two-tape decomposition
-    // (overlapSchedule) replayed `steps` times through the identical
-    // resource algebra. Exact comparison, no tolerance: both paths
-    // must perform the same float operations in the same order.
+    // The multi-step trace is the single-step task list replayed
+    // `steps` times on tapes that run on across step boundaries: step
+    // 0's entries equal simulate()'s trace bit for bit (the tapes start
+    // empty either way), every step repeats step 0's labels, and the
+    // cadence is the spacing of the per-step maximum ends. Exact
+    // comparisons, no tolerance.
     for (const bool overlap : {false, true}) {
         SimOptions opts;
         opts.overlapGradComm = overlap;
+        opts.recordTrace = true;
         for (const auto &name : {"Lenet-c", "AlexNet", "VGG-A"}) {
             Rig rig(dnn::modelByName(name), 4, opts);
             const auto plan = core::makeDataParallelPlan(rig.net, 4);
+            (void)rig.simulator.simulate(plan);
+            const std::vector<sim::TraceEntry> one =
+                rig.simulator.lastTrace();
             const std::size_t steps = 5;
             const auto steady =
                 rig.simulator.simulateSteadyState(plan, steps);
+            const auto &trace = rig.simulator.lastTrace();
 
-            const sim::TapeSchedule tape =
-                rig.simulator.overlapSchedule(plan);
-            double serial = 0.0;
-            double network = 0.0;
+            ASSERT_FALSE(one.empty());
+            ASSERT_EQ(trace.size(), steps * one.size())
+                << name << " overlap=" << overlap;
             std::vector<double> finish(steps, 0.0);
             for (std::size_t s = 0; s < steps; ++s) {
-                for (const sim::TapeTask &t : tape.tasks) {
-                    if (!t.exchange) {
-                        serial += t.seconds;
-                    } else if (t.async) {
-                        network =
-                            std::max(network, serial) + t.seconds;
-                    } else {
-                        serial = std::max(serial, network) + t.seconds;
-                        network = serial;
+                for (std::size_t i = 0; i < one.size(); ++i) {
+                    const sim::TraceEntry &e = trace[s * one.size() + i];
+                    EXPECT_EQ(e.label, one[i].label) << s << " " << i;
+                    if (s == 0) {
+                        EXPECT_EQ(e.start, one[i].start) << i;
+                        EXPECT_EQ(e.end, one[i].end) << i;
                     }
+                    finish[s] = std::max(finish[s], e.end);
                 }
-                finish[s] = std::max(serial, network);
             }
             const double ref =
                 (finish[steps - 1] - finish[0]) /
                 static_cast<double>(steps - 1);
-            EXPECT_DOUBLE_EQ(steady.stepSeconds, ref)
+            EXPECT_EQ(steady.stepSeconds, ref)
                 << name << " overlap=" << overlap;
         }
     }
@@ -289,4 +457,25 @@ TEST(TrainingSim, SamplesPerSecond)
     const std::string s = m.summary();
     EXPECT_NE(s.find("step"), std::string::npos);
     EXPECT_NE(s.find("comm"), std::string::npos);
+}
+
+TEST(TrainingSim, GoldenStepMetricsArePinnedBitForBit)
+{
+    for (const GoldenStep &g : kGoldenSteps) {
+        const dnn::Network net = dnn::modelByName(g.model);
+        const CommModel model(net, CommConfig{});
+        const auto topo = sim::makeTopology(
+            std::string(g.topology) == "htree" ? sim::TopologyKind::kHTree
+                                               : sim::TopologyKind::kTorus,
+            4, noc::TopologyConfig{});
+        SimOptions opts;
+        opts.overlapGradComm = g.overlap;
+        const TrainingSimulator simulator(model, arch::AcceleratorConfig{},
+                                          arch::EnergyModel{}, *topo,
+                                          opts);
+        const auto plan = core::makePlan(g.strategy, model, 4);
+        EXPECT_EQ(hexMetrics(simulator.simulate(plan)), g.metrics)
+            << g.model << " " << g.topology << " "
+            << core::toString(g.strategy) << " overlap=" << g.overlap;
+    }
 }

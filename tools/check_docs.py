@@ -6,16 +6,13 @@ Checked documents: README.md, docs/ARCHITECTURE.md, docs/SERVING.md,
 tools/README.md.
 Checked reference kinds:
 
-  * CLI flags (``--engine``, ``--no-cache``, ...) must appear in
+  * CLI flags (``--overlap``, ``--no-cache``, ...) must appear in
     tools/hyparc_app.cc (its parser or usage string).
   * The reverse direction too: every flag hyparc's parser accepts
     (``arg == "--x"`` in parseArgs) must be advertised in the usage()
     string and mentioned by at least one checked document, so a new
     flag (``--overlap``, ``--limit``, ``--seed``, ...) cannot land
     undocumented.
-  * Engine names (``--engine <name>``) must be in the kEngineNames
-    list in src/serve/server.hh, which validateEngineName checks the
-    deprecated ``--engine`` flag and ``engine`` field against.
   * Backticked targets that look like binaries/targets
     (``bench_*``, ``test_*``, ``hyparc``, ``example_*``,
     ``*_json``) must exist as sources or CMake custom targets.
@@ -173,12 +170,6 @@ def main():
     zoo = read("src/dnn/model_zoo.cc")
     cmake = read("CMakeLists.txt")
 
-    known_engines = initializer_names(read("src/serve/server.hh"),
-                                      "kEngineNames")
-    if known_engines is None:
-        errors.append("src/serve/server.hh: could not locate the "
-                      "kEngineNames initializer (update check_docs.py)")
-        known_engines = []
     # Zoo names are only the ones NetworkBuilder registers (not every
     # quoted string — layer names would silence the check).
     known_models = set(
@@ -237,13 +228,6 @@ def main():
                 continue
             if flag not in known_flags:
                 errors.append(f"{doc}: flag '{flag}' not in hyparc_app.cc")
-
-        # Engine names in `--engine X` examples.
-        for name in re.findall(r"--engine[ =](\w+)", text):
-            if name not in known_engines:
-                errors.append(
-                    f"{doc}: engine '{name}' not in kEngineNames "
-                    "(src/serve/server.hh)")
 
         # Zoo models in `--model X` examples.
         for name in re.findall(r"--model ([\w-]+)", text):

@@ -723,9 +723,7 @@ usage()
            "  --model <zoo name> | --spec <file>\n"
            "  [--levels N] [--batch B] [--topology htree|torus|mesh]\n"
            "  [--strategy hypar|dp|mp|owt|optimal] [-o|--output <file>]\n"
-           "  [--engine auto|dense|astar|sparse|beam]\n"
-           "    (deprecated: checked, then ignored; --strategy\n"
-           "     optimal always runs the exact A* search, H <= 16)\n"
+           "    (optimal: the exact A* search, H <= 16)\n"
            "  [--verbose]  (plan: search diagnostics for --strategy\n"
            "     optimal: transitions evaluated, expanded/pruned\n"
            "     nodes, frontier width, optimality certificate)\n"
@@ -801,8 +799,6 @@ parseArgs(const std::vector<std::string> &args)
             opts.topology = value(i);
         } else if (arg == "--strategy") {
             opts.strategy = value(i);
-        } else if (arg == "--engine") {
-            serve::validateEngineName(value(i)); // deprecated, ignored
         } else if (arg == "--axes") {
             opts.axes = value(i);
         } else if (arg == "--format") {

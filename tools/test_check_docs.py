@@ -13,7 +13,6 @@ in the specific ways the gate promises to catch and asserts it FAILS:
     src/serve/server.hh while docs/SERVING.md still documents it, and
     the reverse (a schema row deleted from SERVING.md while the
     server still parses the field);
-  * a document showing an ``--engine`` name outside kEngineNames;
   * a source file citing a markdown document that does not exist;
   * a document or the bench gate naming a BM_* row no bench defines.
 
@@ -119,17 +118,6 @@ class CheckDocsGate(unittest.TestCase):
         self.assertNotEqual(res.returncode, 0)
         self.assertIn("overlap", res.stderr)
         self.assertIn("missing from the schema table", res.stderr)
-
-    def test_unknown_engine_name_fails(self):
-        # A document shows an --engine value validateEngineName rejects.
-        readme = self.root / "README.md"
-        readme.write_text(
-            readme.read_text(encoding="utf-8") +
-            "\n`hyparc plan --model VGG-E --engine bogus`\n",
-            encoding="utf-8")
-        res = run_check(self.root)
-        self.assertNotEqual(res.returncode, 0)
-        self.assertIn("engine 'bogus' not in kEngineNames", res.stderr)
 
     def test_removing_a_parsed_field_from_the_server_fails(self):
         # SERVING.md still documents steps; the whitelist drops it.
