@@ -176,11 +176,12 @@ BM_OptimalPartitionAStar(benchmark::State &state)
 void
 BM_OptimalPartitionAStarVggE(benchmark::State &state)
 {
-    // The headline row of the "H = 16 interactive" work: the paper's
-    // largest network at the full 2^16-node depth, exact. CI gates
-    // this row against tools/bench_baseline.json (check_bench.py), so
-    // a regression toward the old ~22 s behavior fails the Release
-    // job instead of just dimming the report.
+    // The paper's largest network, exact. /16 is the headline row of
+    // the "H = 16 interactive" work; /10../12 are the depths of
+    // perfbench's cold_plan. CI gates /12 and /16 against
+    // tools/bench_baseline.json (check_bench.py), so a regression (at
+    // /16, toward the old ~22 s) fails the Release job instead of just
+    // dimming the report.
     const auto levels = static_cast<std::size_t>(state.range(0));
     dnn::Network net = dnn::makeVggE();
     core::CommModel model(net, core::CommConfig{});
@@ -350,6 +351,10 @@ BENCHMARK(BM_OptimalPartitionAStar)->DenseRange(10, 14, 2);
 // The DAG path next to its chain siblings (same H sweep as
 // BM_OptimalPartition).
 BENCHMARK(BM_OptimalPartitionResNetBlock)->DenseRange(4, 6, 2);
+// cold_plan's depths on the paper's largest zoo net; /12 is gated.
+BENCHMARK(BM_OptimalPartitionAStarVggE)
+    ->DenseRange(10, 12)
+    ->Unit(benchmark::kMillisecond);
 // The gated headline row: one exact solve per run keeps the JSON
 // target's wall clock bounded (a solve is seconds, not micros), and
 // the row is a baseline check, not a statistics exercise.

@@ -7,6 +7,7 @@
 #include <limits>
 #include <cstring>
 #include <numeric>
+#include <utility>
 
 #include "core/level_bits.hh"
 #include "core/series_parallel.hh"
@@ -122,10 +123,69 @@ constexpr double kScreenSlack = 1.0 - 1e-12;
  */
 constexpr std::size_t kPairScreenMin = 256;
 
+/**
+ * Fewest states per chunk in A*'s per-layer passes. A pool hand-off
+ * costs microseconds, more than a small layer's whole pass, so a
+ * layer of up to this many states (H <= 8) runs every pass inline.
+ * Any value is safe: every pass writes by index or reduces with min
+ * or integer sums, so the chunk grid never changes a result.
+ */
+constexpr std::size_t kMinChunkStates = 256;
+
+/**
+ * Chunk size for one per-layer pass over `items` work units on a
+ * layer of `states` states: `grain`, raised so the pass splits into
+ * at most states / kMinChunkStates chunks.
+ */
+std::size_t
+layerGrain(std::size_t grain, std::size_t items, std::size_t states)
+{
+    const std::size_t max_chunks =
+        std::max<std::size_t>(1, states / kMinChunkStates);
+    return std::max(grain, (items + max_chunks - 1) / max_chunks);
+}
+
 double
 inflate(double cost)
 {
     return cost * (1.0 + kBoundSlack);
+}
+
+/**
+ * popcount(p) for every state, as the u8 side table the expandLevel
+ * kernel indexes (a = h - pcnt[p]).
+ */
+std::vector<std::uint8_t>
+buildPcnt(std::size_t states)
+{
+    std::vector<std::uint8_t> pcnt(states);
+    for (std::size_t p = 0; p < states; ++p)
+        pcnt[p] = static_cast<std::uint8_t>(std::popcount(p));
+    return pcnt;
+}
+
+/**
+ * Level-bit expansion of a per-level sum over all 2^levels states:
+ *
+ *   t[s] = sum_h rows(h)[s_h][dpAbove(s, h)]   (h ascending, from 0.0)
+ *
+ * where rows(h) returns level h's (bit 0, bit 1) rows, h + 1 entries
+ * each. One expandLevel step per level, so O(2^levels) additions in
+ * all; every state still adds its own addends in level-ascending
+ * order, so t[s] is bit-identical to a per-state loop over levels.
+ */
+template <typename Rows>
+void
+expandLevels(double *t, std::size_t levels, const std::uint8_t *pcnt,
+             const Rows &rows)
+{
+    const simd::Kernels &kern = simd::activeKernels();
+    t[0] = 0.0;
+    for (std::size_t h = 0; h < levels; ++h) {
+        const auto [row0, row1] = rows(h);
+        kern.expandLevel(t, std::size_t{1} << h, row0, row1, pcnt,
+                         static_cast<unsigned>(h));
+    }
 }
 
 /**
@@ -202,21 +262,24 @@ buildInterTables(const CommModel &model, std::size_t levels)
  * with lbOut/m/M and the per-level chain term C as documented in the
  * header. Monotone (consistent)
  * by construction: both arguments of the max bound the one-step
- * expansion trans + intra' + h' from below. O(L * (2^H * H + H^3))
- * on the pool; the per-state sums run level-ascending like every
- * real transition sum, so addend-wise domination survives the float
+ * expansion trans + intra' + h' from below. O(L * (2^H + H^3)): the
+ * per-state sums lbIn, lbOut and C are level-bit expansions of
+ * per-level rows, which add level-ascending like every real
+ * transition sum, so addend-wise domination survives the float
  * arithmetic (the cross-layer re-association is what kBoundSlack
  * absorbs at comparison time).
  */
 std::vector<double>
 suffixBound(const CommModel &model, std::size_t levels,
             std::size_t num_layers, const std::vector<double> &intra,
-            const std::vector<InterTermTable> &inter)
+            const std::vector<InterTermTable> &inter,
+            const std::uint8_t *pcnt)
 {
     const std::size_t states = std::size_t{1} << levels;
     std::vector<double> bound(num_layers * states, 0.0);
     auto &pool = util::ThreadPool::global();
-    const std::size_t grain = pool.grainFor(states);
+    const std::size_t grain =
+        layerGrain(pool.grainFor(states), states, states);
     const std::size_t cols = 2 * (levels + 1);
     constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -283,6 +346,9 @@ suffixBound(const CommModel &model, std::size_t levels,
     // (s'_h in {0,1}, dpAbove(s',h) <= h) of level h at the source's
     // fixed column `col` — the per-level ingredient of lbOut.
     std::vector<double> outmin(levels * cols);
+    // Per-state sums of the current layer, each a level-bit expansion.
+    std::vector<double> lbin(states), lbout(states), per_level(states);
+    std::array<double, 2 * (kMax + 1)> chain_rows;
 
     for (std::size_t l = num_layers - 1; l-- > 0;) {
         const InterTermTable &iterm = inter[l];
@@ -297,6 +363,21 @@ suffixBound(const CommModel &model, std::size_t levels,
         }
         // Per-target row minima: the lbIn ingredient of the M term.
         const std::vector<double> inmin = targetRowMins(iterm, levels);
+        const double *chain_l = &chain[l * levels * 2];
+
+        expandLevels(lbin.data(), levels, pcnt, [&](std::size_t h) {
+            return std::pair{&inmin[(h * 2) * (levels + 1)],
+                             &inmin[(h * 2 + 1) * (levels + 1)]};
+        });
+        expandLevels(lbout.data(), levels, pcnt, [&](std::size_t h) {
+            return std::pair{&outmin[h * cols],
+                             &outmin[h * cols + levels + 1]};
+        });
+        expandLevels(per_level.data(), levels, pcnt, [&](std::size_t h) {
+            std::fill_n(&chain_rows[0], h + 1, chain_l[h * 2]);
+            std::fill_n(&chain_rows[kMax + 1], h + 1, chain_l[h * 2 + 1]);
+            return std::pair{&chain_rows[0], &chain_rows[kMax + 1]};
+        });
 
         const double *intra_next = &intra[(l + 1) * states];
         const double *bound_next = &bound[(l + 1) * states];
@@ -308,15 +389,9 @@ suffixBound(const CommModel &model, std::size_t levels,
             [&](std::size_t begin, std::size_t end) {
                 std::pair<double, double> acc{kInf, kInf};
                 for (std::size_t s = begin; s < end; ++s) {
-                    const auto sv = static_cast<std::uint32_t>(s);
                     const double rest = intra_next[s] + bound_next[s];
                     acc.first = std::min(acc.first, rest);
-                    double lbin = 0.0;
-                    for (std::size_t h = 0; h < levels; ++h)
-                        lbin += inmin[(h * 2 + ((sv >> h) & 1u)) *
-                                          (levels + 1) +
-                                      dpAbove(sv, h)];
-                    acc.second = std::min(acc.second, lbin + rest);
+                    acc.second = std::min(acc.second, lbin[s] + rest);
                 }
                 return acc;
             },
@@ -327,23 +402,12 @@ suffixBound(const CommModel &model, std::size_t levels,
             });
 
         double *bound_l = &bound[l * states];
-        const double *chain_l = &chain[l * levels * 2];
         pool.parallelFor(
             0, states, grain, [&](std::size_t begin, std::size_t end) {
-                for (std::size_t s = begin; s < end; ++s) {
-                    const auto sv = static_cast<std::uint32_t>(s);
-                    double lbout = 0.0;
-                    double per_level = 0.0;
-                    for (std::size_t h = 0; h < levels; ++h) {
-                        const unsigned bit = (sv >> h) & 1u;
-                        lbout += outmin[h * cols + bit * (levels + 1) +
-                                        dpAbove(sv, h)];
-                        per_level += chain_l[h * 2 + bit];
-                    }
+                for (std::size_t s = begin; s < end; ++s)
                     bound_l[s] = std::max(
-                        std::max(lbout + mins.first, mins.second),
-                        per_level);
-                }
+                        std::max(lbout[s] + mins.first, mins.second),
+                        per_level[s]);
             });
     }
     return bound;
@@ -352,6 +416,7 @@ suffixBound(const CommModel &model, std::size_t levels,
 /** Tables shared by A*'s passes (incumbent beam and search). */
 struct WideTables
 {
+    std::vector<std::uint8_t> pcnt;    //!< popcount of every state
     std::vector<double> intra;         //!< [l * 2^H + s]
     std::vector<InterTermTable> inter; //!< one per l -> l+1
     std::vector<double> suffix;        //!< admissible bound h[l][s]
@@ -365,19 +430,6 @@ struct Incumbent
 };
 
 /**
- * popcount(p) for every state, as the u8 side table the expandLevel
- * kernel indexes (a = h - pcnt[p]); built once per beam pass.
- */
-std::vector<std::uint8_t>
-buildPcnt(std::uint32_t states)
-{
-    std::vector<std::uint8_t> pcnt(states);
-    for (std::uint32_t p = 0; p < states; ++p)
-        pcnt[p] = static_cast<std::uint8_t>(std::popcount(p));
-    return pcnt;
-}
-
-/**
  * One fixed-width beam pass: the chain DP relaxing, at each layer,
  * only the `beam_width` best predecessors. Its final cost is the cost
  * of a real plan, so it upper-bounds the optimum.
@@ -389,7 +441,6 @@ beamPass(std::size_t levels, std::size_t num_layers,
     const std::uint32_t states = 1u << levels;
     auto &pool = util::ThreadPool::global();
     const simd::Kernels &kern = simd::activeKernels();
-    const std::vector<std::uint8_t> pcnt = buildPcnt(states);
 
     const std::vector<double> &intra = tables.intra;
     std::vector<double> cost(intra.begin(), intra.begin() + states);
@@ -435,9 +486,10 @@ beamPass(std::size_t levels, std::size_t num_layers,
         // target state into its own best array, merged below.
         // A minimum is independent of how candidates are grouped, so
         // the merge is bit-identical for every chunk grid and thread
-        // count.
-        const std::size_t fgrain = std::max<std::size_t>(
-            1, fsize / (2 * pool.parallelism()));
+        // count. Each frontier entry relaxes all `states` targets.
+        const std::size_t fgrain = layerGrain(
+            std::max<std::size_t>(1, fsize / (2 * pool.parallelism())),
+            fsize, states);
         const std::size_t chunks = (fsize + fgrain - 1) / fgrain;
         std::vector<std::vector<double>> chunk_best(
             chunks,
@@ -471,22 +523,20 @@ beamPass(std::size_t levels, std::size_t num_layers,
                     }
                 }
 
-                trans[0] = 0.0;
-                for (std::size_t h = 0; h < levels; ++h) {
-                    const std::size_t half = std::size_t{1} << h;
-                    kern.expandLevel(
-                        trans.data(), half,
-                        &tp[(h * 2 + 0) * (levels + 1)],
-                        &tp[(h * 2 + 1) * (levels + 1)], pcnt.data(),
-                        static_cast<unsigned>(h));
-                }
+                expandLevels(trans.data(), levels, tables.pcnt.data(),
+                             [&](std::size_t h) {
+                                 return std::pair{
+                                     &tp[(h * 2) * (levels + 1)],
+                                     &tp[(h * 2 + 1) * (levels + 1)]};
+                             });
 
                 kern.relaxRow(best.data(), trans.data(), cost[p],
                               states);
             }
         });
 
-        const std::size_t sgrain = pool.grainFor(states);
+        const std::size_t sgrain =
+            layerGrain(pool.grainFor(states), states, states);
         pool.parallelFor(0, states, sgrain, [&](std::size_t s_begin,
                                                 std::size_t s_end) {
             for (std::size_t s = s_begin; s < s_end; ++s) {
@@ -570,21 +620,36 @@ OptimalPartitioner::interCost(std::size_t layer, std::uint32_t v_l,
 }
 
 std::vector<double>
-OptimalPartitioner::intraTable(std::size_t levels) const
+intraTable(const CommModel &model, std::size_t levels)
 {
-    const std::size_t num_layers = model_->numLayers();
+    HYPAR_ASSERT(levels <= kMax, "intra table capped at H = 16");
+    const std::size_t num_layers = model.numLayers();
     const std::size_t states = std::size_t{1} << levels;
-    // Flat per-layer intra tables: intra[l * states + s], each entry
-    // summed exactly as intraCost does (2^h pair weighting, level
-    // ascending) so the search stays bit-identical to the reference.
+    const std::vector<std::uint8_t> pcnt = buildPcnt(states);
     std::vector<double> intra(num_layers * states);
-    util::ThreadPool::global().parallelFor(
-        0, num_layers * states, states,
+    auto &pool = util::ThreadPool::global();
+    pool.parallelFor(
+        0, num_layers,
+        layerGrain(pool.grainFor(num_layers), num_layers, states),
         [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i)
-                intra[i] = intraCost(i / states,
-                                     static_cast<std::uint32_t>(i % states),
-                                     levels);
+            std::array<double, 2 * (kMax + 1)> rows;
+            for (std::size_t l = begin; l < end; ++l) {
+                expandLevels(
+                    &intra[l * states], levels, pcnt.data(), [&](std::size_t h) {
+                        const double weight = model.levelWeight(h);
+                        const auto hu = static_cast<unsigned>(h);
+                        for (unsigned a = 0; a <= hu; ++a) {
+                            rows[a] = weight *
+                                      model.intraBytesAt(
+                                          l, Parallelism::kData, a, hu - a);
+                            rows[kMax + 1 + a] =
+                                weight * model.intraBytesAt(
+                                             l, Parallelism::kModel, a,
+                                             hu - a);
+                        }
+                        return std::pair{&rows[0], &rows[kMax + 1]};
+                    });
+            }
         });
     return intra;
 }
@@ -615,15 +680,17 @@ OptimalPartitioner::partitionAStar(std::size_t levels) const
 
     const std::uint32_t states = 1u << levels;
     auto &pool = util::ThreadPool::global();
-    const std::size_t grain = pool.grainFor(states);
+    const std::size_t grain =
+        layerGrain(pool.grainFor(states), states, states);
     const std::size_t chunks = (states + grain - 1) / grain;
 
     WideTables tables;
-    tables.intra = intraTable(levels);
+    tables.pcnt = buildPcnt(states);
+    tables.intra = intraTable(*model_, levels);
     tables.inter = buildInterTables(*model_, levels);
     tables.suffix =
         suffixBound(*model_, levels, num_layers, tables.intra,
-                    tables.inter);
+                    tables.inter, tables.pcnt.data());
 
     // Incumbent: one narrow beam pass over the same tables. Its cost
     // is an *achieved* plan cost in the DP's own float semantics, so
@@ -639,9 +706,7 @@ OptimalPartitioner::partitionAStar(std::size_t levels) const
 
     const std::vector<std::uint16_t> pcol = buildPcol(levels);
     // Popcount class of every state (number of mp bits).
-    std::vector<std::uint8_t> pclass(states);
-    for (std::uint32_t s = 0; s < states; ++s)
-        pclass[s] = static_cast<std::uint8_t>(std::popcount(s));
+    const std::vector<std::uint8_t> &pclass = tables.pcnt;
 
     // Level-pair screen geometry. Levels are grouped in pairs
     // (0,1), (2,3), ...; per scanned node a small table P holds every
@@ -794,7 +859,7 @@ OptimalPartitioner::partitionAStar(std::size_t levels) const
                      "A*: the bound pruned every live state");
         const std::size_t na = alive.size();
         const std::size_t agrain =
-            std::max<std::size_t>(1, na / (4 * pool.parallelism()));
+            layerGrain(pool.grainFor(na), na, states);
         pool.parallelFor(0, na, agrain, [&](std::size_t a_begin,
                                             std::size_t a_end) {
             std::array<double, kMax + 1> f;
@@ -862,7 +927,8 @@ OptimalPartitioner::partitionAStar(std::size_t levels) const
                           ? (ub - minRest[c]) + 1e-6 * std::abs(ub)
                           : std::numeric_limits<double>::infinity();
         pool.parallelFor(
-            0, nclass, 1, [&](std::size_t c_begin, std::size_t c_end) {
+            0, nclass, layerGrain(1, nclass, states),
+            [&](std::size_t c_begin, std::size_t c_end) {
                 std::vector<std::pair<double, std::uint32_t>> tmp(na);
                 for (std::size_t c = c_begin; c < c_end; ++c) {
                     // Classes whose popcount is inconsistent with

@@ -23,7 +23,9 @@
  * pair, producer dp counts), only O(H^3) entries per layer). A
  * backward pass over the factored inter tables precomputes an
  * admissible suffix bound h[l][s] <= the cheapest completion of
- * layers l..L-1 from state s; a narrow beam pass (the
+ * layers l..L-1 from state s. The intra table and the bound's
+ * per-state sums are level-bit expansions of small per-level rows,
+ * so all tables cost O(L * (2^H + H^3)). A narrow beam pass (the
  * kIncumbentBeamWidth best states of each layer by g + h, exhaustive
  * up to H = 6) supplies an incumbent upper bound; then a
  * layer-ordered expansion relaxes only states whose g + h does not
@@ -167,11 +169,19 @@ class OptimalPartitioner
   private:
     HierarchicalResult partitionAStar(std::size_t levels) const;
 
-    /** Flat intra[l * 2^levels + s] table, filled on the pool. */
-    std::vector<double> intraTable(std::size_t levels) const;
-
     const CommModel *model_;
 };
+
+/**
+ * Flat intra[l * 2^levels + s] table: every layer's intra cost under
+ * every level vector, shared by the A* search and the series-parallel
+ * search. Built by level-bit expansion, O(L * 2^H) additions plus
+ * O(L * H^2) CommModel calls, on the pool; each entry adds the same
+ * products in the same level-ascending order as
+ * OptimalPartitioner::intraCost, so it is bit-identical to it.
+ * levels <= 16.
+ */
+std::vector<double> intraTable(const CommModel &model, std::size_t levels);
 
 } // namespace hypar::core
 

@@ -6,26 +6,13 @@
 #include <vector>
 
 #include "core/level_bits.hh"
+#include "core/optimal_partitioner.hh"
 #include "core/tie_break.hh"
 #include "util/logging.hh"
 
 namespace hypar::core {
 
 namespace {
-
-/** Same level-ascending sum as OptimalPartitioner::intraCost. */
-double
-intraCost(const CommModel &model, std::size_t layer, std::uint32_t v,
-          std::size_t levels)
-{
-    double total = 0.0;
-    for (std::size_t h = 0; h < levels; ++h) {
-        total += model.levelWeight(h) *
-                 model.intraBytesAt(layer, choiceAt(v, h), dpAbove(v, h),
-                                    mpAbove(v, h));
-    }
-    return total;
-}
 
 /**
  * The Table 2 charge of edge (src, dst) over all levels. interBytesAt
@@ -326,13 +313,7 @@ searchSeriesParallel(const CommModel &model, std::size_t levels)
         util::fatal(reason);
 
     const std::size_t S = std::size_t{1} << levels;
-    std::vector<double> intra(num_layers * S);
-    for (std::size_t l = 0; l < num_layers; ++l) {
-        for (std::size_t s = 0; s < S; ++s) {
-            intra[l * S + s] = intraCost(
-                model, l, static_cast<std::uint32_t>(s), levels);
-        }
-    }
+    const std::vector<double> intra = intraTable(model, levels);
 
     SolveContext ctx;
     ctx.model = &model;

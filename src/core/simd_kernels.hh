@@ -3,10 +3,11 @@
  * Runtime-dispatched scalar/AVX2 kernel pairs for the partition
  * searches' contiguous inner loops.
  *
- * Two loop shapes dominate the A* search's table passes (ROADMAP
- * item 5): the level-bit expansion that materializes all 2^H
- * transition sums from one factored row pair, and the incumbent beam
- * pass's elementwise relax of one predecessor into a best row. Both
+ * Two loop shapes dominate the A* search's table passes: the
+ * level-bit expansion that materializes all 2^H per-state sums from
+ * per-level row pairs (the beam's transition rows, the intra table
+ * and the suffix bound's sums), and the incumbent beam pass's
+ * elementwise relax of one predecessor into a best row. Both
  * are branch-light float loops over contiguous tables — prime AVX2
  * targets — while the A* predecessor scan stays scalar on purpose:
  * its candidate walk is data-dependent and gathers from state-indexed

@@ -11,6 +11,7 @@
 
 #include "core/optimal_partitioner.hh"
 #include "core/plan.hh"
+#include "core/series_parallel.hh"
 #include "core/strategies.hh"
 #include "dnn/model_zoo.hh"
 #include "dnn/spec_parser.hh"
@@ -96,6 +97,15 @@ parseFaultEntries(const JsonValue &list, const char *what)
     return out;
 }
 
+/** True when the request runs the exact search (an evaluate with an
+ *  explicit plan runs no strategy at all). */
+bool
+runsOptimalSearch(const Request &req)
+{
+    return req.strategy == "optimal" &&
+           !(req.op == "evaluate" && req.hasPlan);
+}
+
 /**
  * Parse into `req` in place (rather than returning one) so that when
  * parsing fails mid-way, whatever already parsed — in particular `op`
@@ -170,8 +180,7 @@ parseRequest(const std::string &line, Request &req)
     if (req.levels > noc::Topology::kMaxLevels)
         util::fatal("request field 'levels' must be at most " +
                     std::to_string(noc::Topology::kMaxLevels));
-    const bool searches = !(req.op == "evaluate" && req.hasPlan);
-    if (searches && req.strategy == "optimal" &&
+    if (runsOptimalSearch(req) &&
         req.levels > core::OptimalPartitioner::kMaxLevels)
         util::fatal("request field 'levels' must be at most " +
                     std::to_string(core::OptimalPartitioner::kMaxLevels) +
@@ -191,6 +200,28 @@ buildNetwork(const Request &req)
     if (!req.spec.empty())
         return dnn::parseNetworkSpec(req.spec);
     util::fatal("a network is required: \"model\" or \"spec\"");
+}
+
+/**
+ * The depth limits that need the network's shape: on a non-chain
+ * network the exact search is the series-parallel one, which caps the
+ * depth and levels x layers (core/series_parallel.hh).
+ */
+void
+validateDagDepth(const Request &req, const dnn::Network &network)
+{
+    if (!runsOptimalSearch(req) || network.isChain())
+        return;
+    if (req.levels > core::kSpMaxLevels)
+        util::fatal("request field 'levels' must be at most " +
+                    std::to_string(core::kSpMaxLevels) +
+                    " with strategy 'optimal' on a non-chain network");
+    if (req.levels * network.size() > core::kSpMaxKeyBits)
+        util::fatal("request field 'levels' times the network's " +
+                    std::to_string(network.size()) +
+                    " layers must be at most " +
+                    std::to_string(core::kSpMaxKeyBits) +
+                    " with strategy 'optimal' on a non-chain network");
 }
 
 sim::SimConfig
@@ -395,6 +426,7 @@ Server::processBatch(const std::vector<std::string> &lines,
                 continue;
             }
             p.network = buildNetwork(p.req);
+            validateDagDepth(p.req, *p.network);
             p.config = buildConfig(p.req);
             validateStrategyName(p.req.strategy);
             sim::validateFaults(p.config);

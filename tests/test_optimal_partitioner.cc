@@ -2,10 +2,14 @@
  * @file
  * Tests for the exact joint partitioner: global optimality (equals
  * exhaustive search on tiny instances), dominance over the greedy
- * Algorithm 2, and cost-accounting consistency with CommModel.
+ * Algorithm 2, cost-accounting consistency with CommModel, and the
+ * search's tables and work counters pinned bit for bit.
  */
 
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
 
 #include "core/brute_force.hh"
 #include "core/comm_model.hh"
@@ -249,4 +253,101 @@ TEST(OptimalPartitioner, RejectsAbsurdDepth)
     // ...and both the search and the reference oracle stop at H = 16.
     EXPECT_THROW((void)opt.partition(17), util::FatalError);
     EXPECT_THROW((void)opt.partitionReference(17), util::FatalError);
+}
+
+TEST(OptimalPartitioner, IntraTableIsBitIdenticalToIntraCost)
+{
+    // The level-bit expansion must add the same products in the same
+    // level-ascending order as intraCost: compared as bit patterns,
+    // over every (layer, state), for pristine, degraded and unscaled
+    // models.
+    CommConfig degraded;
+    degraded.levelPenalties = {1.0, 1.5, 1.0, 4.0, 1.0, 1.0,
+                               2.0, 1.0, 1.0, 1.25, 1.0, 3.0};
+    CommConfig unscaled;
+    unscaled.scaling = CommConfig::Scaling::kNone;
+    for (const dnn::Network &net : dnn::allModels()) {
+        for (const CommConfig &cfg : {CommConfig{}, degraded, unscaled}) {
+            const CommModel model(net, cfg);
+            const OptimalPartitioner opt(model);
+            for (std::size_t levels = 1; levels <= 12; ++levels) {
+                const std::vector<double> intra =
+                    core::intraTable(model, levels);
+                const std::size_t states = std::size_t{1} << levels;
+                ASSERT_EQ(intra.size(), net.size() * states);
+                std::size_t mismatches = 0;
+                for (std::size_t l = 0; l < net.size(); ++l)
+                    for (std::size_t s = 0; s < states; ++s)
+                        mismatches +=
+                            std::bit_cast<std::uint64_t>(
+                                intra[l * states + s]) !=
+                            std::bit_cast<std::uint64_t>(opt.intraCost(
+                                l, static_cast<std::uint32_t>(s), levels));
+                EXPECT_EQ(mismatches, 0u)
+                    << net.name() << " H = " << levels;
+            }
+        }
+    }
+}
+
+TEST(OptimalPartitioner, SearchCountersMatchRecordedGoldens)
+{
+    // The search's work counters and exact cost, recorded before the
+    // suffix bound's and intra table's sums became level-bit
+    // expansions. An exact search with a looser bound still returns
+    // the optimum, so only these counters would show it: a bound or
+    // table change must leave every one of them unchanged.
+    struct Golden
+    {
+        const char *model;
+        std::size_t levels;
+        std::uint64_t transitions;
+        std::uint64_t expanded;
+        std::uint64_t pruned;
+        std::size_t width;
+        double commBytes;
+    };
+    const Golden goldens[] = {
+        {"VGG-A", 10, 674158u, 757u, 10507u, 330u, 0x1.3ec0f14p+35},
+        {"VGG-A", 11, 1467903u, 2962u, 19566u, 780u, 0x1.e2ddf14p+35},
+        {"VGG-A", 12, 2962327u, 3499u, 41557u, 1507u, 0x1.630bf8ap+36},
+        {"VGG-B", 10, 805232u, 759u, 12553u, 330u, 0x1.49fe214p+35},
+        {"VGG-B", 11, 1730049u, 2964u, 23660u, 780u, 0x1.f95b214p+35},
+        {"VGG-B", 12, 3486617u, 3501u, 49747u, 1507u, 0x1.798a90ap+36},
+        {"VGG-C", 10, 994483u, 585u, 15799u, 120u, 0x1.6a35214p+35},
+        {"VGG-C", 11, 2064275u, 2291u, 30477u, 495u, 0x1.179210ap+36},
+        {"VGG-C", 12, 4108663u, 3546u, 61990u, 1287u, 0x1.a31810ap+36},
+        {"VGG-D", 10, 1008445u, 980u, 15404u, 375u, 0x1.cf51214p+35},
+        {"VGG-D", 11, 2176574u, 3819u, 28949u, 787u, 0x1.638710ap+36},
+        {"VGG-D", 12, 4371600u, 4801u, 60735u, 1507u, 0x1.06fa085p+37},
+        {"VGG-E", 10, 1227441u, 1402u, 18054u, 375u, 0x1.2a5210ap+36},
+        {"VGG-E", 11, 2630126u, 5076u, 33836u, 957u, 0x1.ca6090ap+36},
+        {"VGG-E", 12, 5594131u, 7606u, 70218u, 1507u, 0x1.512ec85p+37},
+    };
+    const auto expectGolden = [](const core::HierarchicalResult &r,
+                                 const Golden &g) {
+        SCOPED_TRACE(std::string(g.model) + " H = " +
+                     std::to_string(g.levels));
+        EXPECT_EQ(r.transitionsEvaluated, g.transitions);
+        EXPECT_EQ(r.stats.expanded, g.expanded);
+        EXPECT_EQ(r.stats.pruned, g.pruned);
+        EXPECT_EQ(r.stats.widthUsed, g.width);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(r.commBytes),
+                  std::bit_cast<std::uint64_t>(g.commBytes));
+    };
+    for (const Golden &g : goldens) {
+        const dnn::Network net = dnn::modelByName(g.model);
+        const CommModel model(net, CommConfig{});
+        expectGolden(OptimalPartitioner(model).partition(g.levels), g);
+    }
+
+    // A degraded array: per-level penalties reweight every level.
+    CommConfig degraded;
+    degraded.levelPenalties = {1.0, 1.5, 1.0, 4.0, 1.0, 1.0,
+                               2.0, 1.0, 1.0, 1.25, 1.0};
+    const dnn::Network net = dnn::makeVggC();
+    const CommModel model(net, degraded);
+    expectGolden(OptimalPartitioner(model).partition(11),
+                 {"VGG-C degraded", 11, 1971761u, 769u, 31999u, 319u,
+                  0x1.2afe27p+36});
 }

@@ -1023,6 +1023,49 @@ TEST(Server, DepthFieldsAreCheckedBeforeAnyAllocation)
         << responses[4];
 }
 
+TEST(Server, DagDepthLimitsNameTheLevelsField)
+{
+    // On a non-chain network the exact search is the series-parallel
+    // one, capped at H = 8 and at levels x layers = 64. Both limits
+    // are parse-pass errors naming `levels`, checked once the network
+    // is built, and the line after them is still served.
+    serve::ServeOptions opts;
+    opts.noCache = true;
+    serve::Server server(opts);
+
+    // A diamond plus five fc layers: nine layers, so H = 8 is 72 bits.
+    const std::string nine_layers =
+        R"("spec":"network diamond9\ninput 1 8 8\nconv stem 4 3 pad 1\n)"
+        R"(conv a 4 3 pad 1\nconv b 4 3 pad 1\nedge stem b\n)"
+        R"(conv join 4 3 pad 1\nedge a join\nedge b join\n)"
+        R"(fc f1 10\nfc f2 10\nfc f3 10\nfc f4 10\nfc f5 10\n")";
+    const std::vector<std::string> responses = runBatch(
+        server,
+        {R"({"op":"plan","model":"ResNet-block","levels":9,)"
+         R"("strategy":"optimal"})",
+         R"({"op":"plan",)" + nine_layers +
+             R"(,"levels":8,"strategy":"optimal"})",
+         R"({"op":"plan","model":"ResNet-block","levels":8,)"
+         R"("strategy":"optimal"})"});
+    ASSERT_EQ(responses.size(), 3u);
+    const char *expected[] = {
+        "fatal: request field 'levels' must be at most 8 with strategy "
+        "'optimal' on a non-chain network",
+        "fatal: request field 'levels' times the network's 9 layers "
+        "must be at most 64 with strategy 'optimal' on a non-chain "
+        "network",
+    };
+    for (std::size_t i = 0; i < 2; ++i) {
+        const serve::JsonValue v = serve::JsonValue::parse(responses[i]);
+        EXPECT_FALSE(v.find("ok")->asBool()) << responses[i];
+        ASSERT_NE(v.find("op"), nullptr) << responses[i];
+        EXPECT_EQ(v.find("op")->asString(), "plan");
+        EXPECT_EQ(v.find("error")->asString(), expected[i]);
+    }
+    EXPECT_TRUE(serve::JsonValue::parse(responses[2]).find("ok")->asBool())
+        << responses[2];
+}
+
 TEST(Server, DeeplyNestedLineAnswersInBandAndServingContinues)
 {
     // A line of 200k '[' once overflowed the recursive JSON parser's
